@@ -7,9 +7,19 @@ squared norms c_alpha of the admissible monomials alone:
 
     u_m(z) = (1/2m) log sum_alpha |z^alpha|^2 / c_alpha.
 
-Norms are radial integrals computed on a per-axis shell decomposition in
-logarithmic coordinates; a monomial is excluded when the shell
-contributions stop decaying (the integral diverges at the origin).
+In logarithmic radial coordinates s_k = log|z_k| the norm is
+
+    c_alpha = (2 pi)^n integral over s <= 0 of exp(<2 alpha + 2, s> - 2 m u(s)) ds.
+
+Norms are exact for homogeneous piecewise-linear weights u = max_J <J, s>
+(coordinate logs, rational scalings, maxima and unimodular monomials):
+on each linearity cone of u the integrand is the exponential of a linear
+form, so c_alpha is a rational multiple of (2 pi)^n, and the integral
+diverges exactly when that form is nonnegative on a ray of the cone fan
+(Howald's criterion, alpha + 1 outside the interior of m times the Newton
+polyhedron).  Only the other weights are integrated numerically, on a
+per-axis shell decomposition; there a monomial is excluded when the
+shell contributions stop decaying (the integral diverges at the origin).
 """
 
 from __future__ import annotations
@@ -17,11 +27,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 from typing import Sequence
 
 import numpy as np
 
+from .exactgeom import Vec
 from .indicator_calculus import generalized_lelong_exact, tau
 from .numeric_oracle import (
     DEFAULT_SCHEDULE,
@@ -29,6 +40,7 @@ from .numeric_oracle import (
     generalized_lelong_numeric,
 )
 from .poly_geom import ExponentSet
+from .weights import CoordLog, MaxOf, PolyLog, Scale
 from .weights import dimension_of, eval_expr, indicator_support, is_multicircled, torus_values
 
 __all__ = [
@@ -46,15 +58,37 @@ DEFAULT_DEGREE_CAP = {1: 12, 2: 8}
 
 @dataclass(frozen=True)
 class ApproxBasis:
-    """Admissible monomial exponents with their weighted squared norms."""
+    """Admissible monomial exponents with their weighted squared norms.
+
+    `exponents` (one row per entry) and `neg_log_c` (-log c_alpha) hold
+    the entries as arrays, so evaluation is one broadcast log-sum-exp.
+    """
 
     m: int
     degree_cap: int
     entries: tuple[tuple[tuple[int, ...], float], ...]
     u_ref: object
     dimension: int
+    exponents: np.ndarray = field(init=False, repr=False, compare=False)
+    neg_log_c: np.ndarray = field(init=False, repr=False, compare=False)
 
     theta_dependent = False  # value depends on coordinate moduli only
+
+    def __post_init__(self):
+        alphas = np.array([a for a, _ in self.entries], dtype=float)
+        object.__setattr__(self, "exponents", alphas.reshape(len(self.entries), self.dimension))
+        object.__setattr__(self, "neg_log_c", np.array([-math.log(c) for _, c in self.entries]))
+
+    def _log_terms(self, t) -> np.ndarray:
+        """log(|z^alpha|^2 / c_alpha) at log-moduli t, one entry per leading index."""
+        ts = [np.asarray(x, dtype=float) for x in t]
+        lead = (-1,) + (1,) * len(np.broadcast_shapes(*(x.shape for x in ts)))
+        g = 0.0
+        with np.errstate(invalid="ignore"):
+            for k, tk in enumerate(ts):
+                a = self.exponents[:, k].reshape(lead)
+                g = g + np.where(a != 0, 2.0 * a * tk, 0.0)  # so that 0 * (-inf) never appears
+        return self.neg_log_c.reshape(lead) + g
 
     def cap_contribution(self, t) -> float:
         """Share of the degree-cap entries in the sum at log-radii t.
@@ -64,47 +98,147 @@ class ApproxBasis:
         """
         if not self.entries:
             return 0.0
-        weights_all = []
-        at_cap = []
-        for alpha, c in self.entries:
-            g = sum(2.0 * a * tk for a, tk in zip(alpha, t)) - math.log(c)
-            weights_all.append(g)
-            at_cap.append(max(alpha) == self.degree_cap)
-        peak = max(weights_all)
-        total = sum(math.exp(g - peak) for g in weights_all)
-        cap = sum(math.exp(g - peak) for g, hit in zip(weights_all, at_cap) if hit)
-        return cap / total
+        g = self._log_terms(t)
+        w = np.exp(g - g.max())
+        at_cap = self.exponents.max(axis=1) == self.degree_cap
+        return float(w[at_cap].sum() / w.sum())
 
     def torus_values(self, t, theta):
-        if not self.entries:
-            shape = np.broadcast_shapes(*(np.shape(x) for x in t))
-            return np.full(shape, -np.inf)
-        terms = []
-        for alpha, c in self.entries:
-            g = None
-            for k, ak in enumerate(alpha):
-                if not ak:
-                    continue
-                contrib = 2.0 * ak * np.asarray(t[k], dtype=float)
-                g = contrib if g is None else g + contrib
-            base = -math.log(c)
-            terms.append(base if g is None else base + g)
-        peak = terms[0]
-        for g in terms[1:]:
-            peak = np.maximum(peak, g)
-        peak = np.asarray(peak, dtype=float)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            acc = None
-            for g in terms:
-                e = np.exp(np.where(peak == -np.inf, -np.inf, g - peak))
-                acc = e if acc is None else acc + e
-            out = np.where(peak == -np.inf, -np.inf, (peak + np.log(acc)) / (2.0 * self.m))
-        return out
+        g = self._log_terms(t)
+        peak = g.max(axis=0, initial=-np.inf)
+        shift = np.where(peak == -np.inf, 0.0, peak)
+        with np.errstate(divide="ignore"):
+            return (shift + np.log(np.exp(g - shift).sum(axis=0))) / (2.0 * self.m)
 
 
 def um_eval(basis: ApproxBasis, z: Sequence[complex]) -> float:
     """Value of the level-m approximant at z, computed in log space."""
     return eval_expr(basis, z)
+
+
+def basis_norms(u, m: int, degree_cap: int | None = None, quad_nodes: int | None = None,
+                dim: int | None = None, shells: int | None = None,
+                shell_width: float = 1.0) -> ApproxBasis:
+    """Squared norms c_alpha = (2 pi)^n integral of prod r_k^(2 alpha_k + 1) exp(-2 m u).
+
+    Homogeneous piecewise-linear weights get exact norms and an exact
+    divergence test; every other weight goes through the shell
+    quadrature, which alone uses quad_nodes, shells and shell_width.
+    Without a degree_cap a piecewise-linear weight keeps every exponent
+    up to max(DEFAULT_DEGREE_CAP[n], 2 ceil(m p)), p the largest axis
+    intercept of its Newton polyhedron, so that the least admissible
+    pure power of each coordinate is in the basis.
+    """
+    if m < 1:
+        raise ValueError("m must be a positive integer")
+    if not is_multicircled(u):
+        raise ValueError("basis norms need a torus-invariant weight")
+    n = dim if dim is not None else dimension_of(u)
+    if n not in (1, 2):
+        raise ValueError("basis construction supports dimensions 1 and 2 only")
+    if n < dimension_of(u):
+        raise ValueError(f"weight references {dimension_of(u)} coordinates, basis has {n}")
+    gens = _pl_generators(u, n)
+    if gens is None:
+        cap = DEFAULT_DEGREE_CAP[n] if degree_cap is None else degree_cap
+        entries = _quadrature_norms(u, m, cap, n, quad_nodes, shells, shell_width)
+    else:
+        cap = _pl_degree_cap(gens, m, n) if degree_cap is None else degree_cap
+        entries = _exact_norms(gens, m, cap, n)
+    return ApproxBasis(m=m, degree_cap=cap, entries=tuple(entries), u_ref=u, dimension=n)
+
+
+def _pl_generators(u, n: int) -> list[Vec] | None:
+    """The J with u = max_J <J, log|z|>, or None when u has no such form."""
+    if isinstance(u, CoordLog):
+        return [tuple(Fraction(int(k == u.axis - 1)) for k in range(n))]
+    if isinstance(u, Scale) and isinstance(u.factor, Fraction):
+        child = _pl_generators(u.child, n)
+        return None if child is None else [tuple(u.factor * x for x in J) for J in child]
+    if isinstance(u, MaxOf):
+        out: list[Vec] = []
+        for c in u.children:
+            gens = _pl_generators(c, n)
+            if gens is None:
+                return None
+            out.extend(gens)
+        return out
+    if isinstance(u, PolyLog) and len(u.terms) == 1 and abs(u.terms[0][0]) == 1:
+        J = u.terms[0][1]
+        return [tuple(Fraction(j) for j in J) + (Fraction(0),) * (n - len(J))]
+    return None
+
+
+def _pl_degree_cap(gens: list[Vec], m: int, n: int) -> int:
+    """max(DEFAULT_DEGREE_CAP[n], 2 ceil(m p)), p the largest axis intercept.
+
+    The intercept on axis k is the least pure generator p e_k; axes that
+    carry none are ignored.
+    """
+    intercepts = [
+        J[k] for J in gens for k in range(n)
+        if J[k] > 0 and all(x == 0 for i, x in enumerate(J) if i != k)
+    ]
+    return max(DEFAULT_DEGREE_CAP[n], 2 * math.ceil(m * max(intercepts, default=0)))
+
+
+def _pl_cones(gens: list[Vec], n: int) -> list[tuple[tuple[Vec, ...], Vec, Fraction]]:
+    """Simplicial cones covering s <= 0 on each of which max_J <J, s> is linear.
+
+    Returns (rays, J, |det rays|) with J the generator active on the cone.
+    In two dimensions the rays are the two axes and every direction of
+    the open negative quadrant where two generators tie; the ray at
+    parameter x in [0, 1] is (x - 1, -x), so consecutive rays x < y span
+    a cone with |det| = y - x.
+    """
+    if n == 1:
+        cones = [(((Fraction(-1),),), Fraction(1))]
+    else:
+        xs = {Fraction(0), Fraction(1)}
+        for J, K in combinations(gens, 2):
+            d1, d2 = J[0] - K[0], J[1] - K[1]
+            if d1 * d2 < 0:  # <J - K, s> = 0 at s = -(|d2|, |d1|)
+                xs.add(abs(d1) / (abs(d1) + abs(d2)))
+        xs = sorted(xs)
+        cones = [
+            (((x - 1, -x), (y - 1, -y)), y - x) for x, y in zip(xs, xs[1:])
+        ]
+    out = []
+    for rays, det in cones:
+        inner = tuple(sum(v[k] for v in rays) for k in range(n))
+        J = max(gens, key=lambda G: sum(g * s for g, s in zip(G, inner)))
+        out.append((rays, J, det))
+    return out
+
+
+def _exact_norms(gens: list[Vec], m: int, degree_cap: int, n: int):
+    """(alpha, c_alpha) for the admissible alpha, summed exactly over the cones."""
+    cones = _pl_cones(gens, n)
+    entries = []
+    for alpha in product(range(degree_cap + 1), repeat=n):
+        c = _cone_integral(cones, m, alpha)
+        if c is not None:
+            entries.append((alpha, (2.0 * math.pi) ** n * float(c)))
+    return entries
+
+
+def _cone_integral(cones, m: int, alpha) -> Fraction | None:
+    """c_alpha / (2 pi)^n, or None when the integral diverges.
+
+    A cone with rays v_i and active generator J adds |det V| / prod(-<d, v_i>),
+    d = 2 alpha + 2 - 2 m J; the integral diverges when some -<d, v_i> <= 0.
+    """
+    total = Fraction(0)
+    for rays, J, det in cones:
+        d = [2 * a + 2 - 2 * m * j for a, j in zip(alpha, J)]
+        denom = Fraction(1)
+        for v in rays:
+            e = -sum(dk * vk for dk, vk in zip(d, v))
+            if e <= 0:
+                return None
+            denom *= e
+        total += det / denom
+    return total
 
 
 def _radial_log_grid(shells: int, width: float, nodes: int):
@@ -117,25 +251,14 @@ def _radial_log_grid(shells: int, width: float, nodes: int):
     return s, wts, shell_id
 
 
-def basis_norms(u, m: int, degree_cap: int | None = None, quad_nodes: int | None = None,
-                dim: int | None = None, shells: int | None = None,
-                shell_width: float = 1.0) -> ApproxBasis:
-    """Squared norms c_alpha = (2 pi)^n integral of prod r_k^(2 alpha_k + 1) exp(-2 m u).
+def _quadrature_norms(u, m: int, degree_cap: int, n: int, quad_nodes: int | None = None,
+                      shells: int | None = None, shell_width: float = 1.0):
+    """(alpha, c_alpha) for the admissible alpha, by per-axis shell quadrature.
 
-    The integral is taken in logarithmic radial coordinates over
-    per-axis shells of the given width.  A monomial is excluded as
-    divergent when the shell-ring contributions fail to decay twice in a
-    row while still dominating the accumulated total.
+    A monomial is excluded as divergent when the shell-ring contributions
+    fail to decay twice in a row while still dominating the accumulated
+    total.
     """
-    if m < 1:
-        raise ValueError("m must be a positive integer")
-    if not is_multicircled(u):
-        raise ValueError("basis norms need a torus-invariant weight")
-    n = dim if dim is not None else dimension_of(u)
-    if n not in (1, 2):
-        raise ValueError("basis construction supports dimensions 1 and 2 only")
-    if degree_cap is None:
-        degree_cap = DEFAULT_DEGREE_CAP[n]
     if quad_nodes is None:
         quad_nodes = 32 if n == 1 else 16
     if shells is None:
@@ -166,7 +289,7 @@ def basis_norms(u, m: int, degree_cap: int | None = None, quad_nodes: int | None
             continue
         c = (2.0 * math.pi) ** n * math.exp(peak) * float(rings.sum())
         entries.append((alpha, c))
-    return ApproxBasis(m=m, degree_cap=degree_cap, entries=tuple(entries), u_ref=u, dimension=n)
+    return entries
 
 
 def _diverges(rings: np.ndarray, block: int = 6) -> bool:

@@ -183,13 +183,7 @@ def sublevel_vertices(S: ExponentSet) -> SublevelPolyhedron:
 
 def dominated_hull(S: ExponentSet) -> NewtonDiagramStruct:
     """Vertices and bounded faces of conv(S.points) + R_+^n."""
-    n = S.dimension
-    candidates = _collapse(S.points)
-    hull = [
-        p
-        for p in candidates
-        if _is_hull_vertex(p, [q for q in candidates if q != p], n)
-    ]
+    hull = _hull_vertices(S)
     faces = []
     for t0 in _strict_negative_level_vertices(S):
         on_face = tuple(p for p in hull if dot(p, t0) == -1)
@@ -200,6 +194,15 @@ def dominated_hull(S: ExponentSet) -> NewtonDiagramStruct:
         hull_vertices=tuple(hull),
         bounded_faces=tuple(faces),
     )
+
+
+def _hull_vertices(S: ExponentSet) -> list[Vec]:
+    candidates = _collapse(S.points)
+    return [
+        p
+        for p in candidates
+        if _is_hull_vertex(p, [q for q in candidates if q != p], S.dimension)
+    ]
 
 
 def _strict_negative_level_vertices(S: ExponentSet) -> list[Vec]:
@@ -216,8 +219,7 @@ def dual_face(S: ExponentSet, t0: Sequence) -> tuple[Vec, ...]:
     sub = sublevel_vertices(S)
     if t0v not in sub.extreme_points:
         raise ValueError(f"{t0v} is not an extreme point of the sublevel polyhedron")
-    hull = dominated_hull(S).hull_vertices
-    return tuple(p for p in hull if dot(p, t0v) == -1)
+    return tuple(p for p in _hull_vertices(S) if dot(p, t0v) == -1)
 
 
 def cone_volume(face_vertices: Sequence[Sequence], dimension: int) -> Fraction:
@@ -241,7 +243,7 @@ def gamma_measure(S: ExponentSet) -> GammaMeasure:
     """
     n = S.dimension
     sub = sublevel_vertices(S)
-    hull = dominated_hull(S).hull_vertices
+    hull = _hull_vertices(S)
     atoms = []
     total = Fraction(0)
     for t0 in sub.extreme_points:

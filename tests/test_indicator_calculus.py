@@ -230,6 +230,21 @@ def test_newton_number_values():
     assert newton_number(es((4, 0), (1, 1), (0, 4))).value == 8
 
 
+def test_newton_number_equals_self_pairing():
+    # every atom t0 has min_J <J, -t0> = 1, so the self-pairing sums the masses
+    rng = random.Random(53)
+    families = [simplex_weight(tuple(F(rng.randint(1, 12), 3) for _ in range(n))) for n in (2, 3, 4)]
+    families += [_random_exponent_set(rng, rng.choice((2, 3))) for _ in range(40)]
+    for S in families:
+        try:
+            nn = newton_number(S).value
+        except DegenerateIndicatorError:
+            with pytest.raises(DegenerateIndicatorError):
+                generalized_lelong_exact(S, S)
+            continue
+        assert nn == generalized_lelong_exact(S, S).value
+
+
 def test_newton_number_kind():
     assert newton_number(es((1, 0), (0, 1))).kind == "newton_number"
 
