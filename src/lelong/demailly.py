@@ -116,14 +116,12 @@ def um_eval(basis: ApproxBasis, z: Sequence[complex]) -> float:
     return eval_expr(basis, z)
 
 
-def basis_norms(u, m: int, degree_cap: int | None = None, quad_nodes: int | None = None,
-                dim: int | None = None, shells: int | None = None,
-                shell_width: float = 1.0) -> ApproxBasis:
+def basis_norms(u, m: int, degree_cap: int | None = None, dim: int | None = None) -> ApproxBasis:
     """Squared norms c_alpha = (2 pi)^n integral of prod r_k^(2 alpha_k + 1) exp(-2 m u).
 
     Homogeneous piecewise-linear weights get exact norms and an exact
     divergence test; every other weight goes through the shell
-    quadrature, which alone uses quad_nodes, shells and shell_width.
+    quadrature.
     Without a degree_cap a piecewise-linear weight keeps every exponent
     up to max(DEFAULT_DEGREE_CAP[n], 2 ceil(m p)), p the largest axis
     intercept of its Newton polyhedron, so that the least admissible
@@ -141,7 +139,7 @@ def basis_norms(u, m: int, degree_cap: int | None = None, quad_nodes: int | None
     gens = _pl_generators(u, n)
     if gens is None:
         cap = DEFAULT_DEGREE_CAP[n] if degree_cap is None else degree_cap
-        entries = _quadrature_norms(u, m, cap, n, quad_nodes, shells, shell_width)
+        entries = _quadrature_norms(u, m, cap, n)
     else:
         cap = _pl_degree_cap(gens, m, n) if degree_cap is None else degree_cap
         entries = _exact_norms(gens, m, cap, n)
@@ -251,20 +249,17 @@ def _radial_log_grid(shells: int, width: float, nodes: int):
     return s, wts, shell_id
 
 
-def _quadrature_norms(u, m: int, degree_cap: int, n: int, quad_nodes: int | None = None,
-                      shells: int | None = None, shell_width: float = 1.0):
+def _quadrature_norms(u, m: int, degree_cap: int, n: int):
     """(alpha, c_alpha) for the admissible alpha, by per-axis shell quadrature.
 
-    A monomial is excluded as divergent when the shell-ring contributions
-    fail to decay twice in a row while still dominating the accumulated
-    total.
+    The log-radius of each axis runs over 48 shells of width 1 with 32
+    Gauss-Legendre nodes in one variable, and over 36 shells with 16
+    nodes in two.  A monomial is excluded as divergent when the
+    shell-ring contributions fail to decay twice in a row while still
+    dominating the accumulated total.
     """
-    if quad_nodes is None:
-        quad_nodes = 32 if n == 1 else 16
-    if shells is None:
-        shells = 48 if n == 1 else 36
-
-    s, wts, shell_id = _radial_log_grid(shells, shell_width, quad_nodes)
+    shells, nodes = (48, 32) if n == 1 else (36, 16)
+    s, wts, shell_id = _radial_log_grid(shells, 1.0, nodes)
     if n == 1:
         t_axes = (s,)
         grid_w = wts

@@ -1,22 +1,28 @@
 """Exact rational linear algebra and convex-geometry primitives.
 
-Everything here works over `fractions.Fraction`, so results are exact and
-independent of evaluation order.  The algorithms are combinatorial
-(subset enumeration, Fourier-Motzkin, recursive triangulation) and meant
-for desk-scale inputs: a handful of points or constraints in dimension
-up to four.
+Everything here works over the rationals, so results are exact and
+independent of evaluation order.  Two kernels carry the module:
+
+  * `eliminate`, fraction-free (Bareiss) Gauss-Jordan elimination, which
+    gives ranks, pivot columns, determinants and inverses;
+  * `double_description`, the incremental double-description method of
+    Motzkin, Raiffa, Thompson and Thrall (1953), in the form of Fukuda
+    and Prodon (1996), which turns {x : <r, x> <= 0} into its extreme
+    rays and their active rows.
+
+Vertex enumeration runs the double description on the homogenized
+polyhedron; convex hulls run it on the cone of valid inequalities and
+are triangulated recursively into simplices.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
-from itertools import combinations
 from typing import Iterable, Sequence
 
 Vec = tuple[Fraction, ...]
 Constraint = tuple[Vec, Fraction]  # (a, b) encodes <a, x> <= b
-
-_FM_ROW_LIMIT = 200_000
 
 
 def frac(x) -> Fraction:
@@ -38,287 +44,165 @@ def dot(u: Sequence[Fraction], v: Sequence[Fraction]) -> Fraction:
     return sum((a * b for a, b in zip(u, v)), Fraction(0))
 
 
-def solve_square(rows: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]) -> Vec | None:
-    """Solve an n x n rational system; None if singular."""
-    n = len(rows)
-    aug = [list(r) + [b] for r, b in zip(rows, rhs)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if aug[r][col] != 0), None)
+def _integer_row(row: Sequence) -> tuple[list[int], int]:
+    """The row times the least common denominator of its entries, and that factor."""
+    scale = math.lcm(*(Fraction(x).denominator for x in row)) if row else 1
+    return [int(Fraction(x) * scale) for x in row], scale
+
+
+def eliminate(rows: Sequence[Sequence]) -> tuple[list[list[int]], list[int], Fraction]:
+    """Fraction-free Gauss-Jordan (Bareiss) elimination of a rational matrix.
+
+    Each row is first cleared of denominators.  Returns (m, pivots, det):
+    in the integer matrix m, row k (k < len(pivots)) holds the common pivot
+    value at column pivots[k] and zeros in every other pivot column; the
+    rows after them are zero.  len(pivots) is the rank, and det is the
+    determinant of a square input (0 when singular).  Every division is
+    exact because every entry of m is a minor of the scaled input.
+    """
+    scaled = [_integer_row(r) for r in rows]
+    m = [row for row, _ in scaled]
+    prev, sign, pivots = 1, 1, []
+    for col in range(len(m[0]) if m else 0):
+        r = len(pivots)
+        piv = next((i for i in range(r, len(m)) if m[i][col] != 0), None)
         if piv is None:
-            return None
-        aug[col], aug[piv] = aug[piv], aug[col]
-        inv = Fraction(1) / aug[col][col]
-        aug[col] = [x * inv for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col] != 0:
-                f = aug[r][col]
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
-    return tuple(aug[r][n] for r in range(n))
+            continue
+        if piv != r:
+            m[r], m[piv] = m[piv], m[r]
+            sign = -sign
+        p, top = m[r][col], m[r]
+        for i, row in enumerate(m):
+            if i != r:
+                f = row[col]
+                m[i] = [(p * x - f * y) // prev for x, y in zip(row, top)]
+        prev = p
+        pivots.append(col)
+    square = len(m) == len(pivots) and all(len(row) == len(m) for row in m)
+    det = Fraction(sign * prev, math.prod(s for _, s in scaled)) if square else Fraction(0)
+    return m, pivots, det
 
 
-def _normalize_constraint(a: Vec, b: Fraction) -> Constraint:
-    lead = next((x for x in a if x != 0), None)
-    if lead is None:
-        return a, (Fraction(0) if b >= 0 else Fraction(-1))
-    s = abs(lead)
-    return tuple(x / s for x in a), b / s
+def double_description(rows: Sequence[Sequence], d: int) -> list[tuple[tuple[int, ...], frozenset[int]]]:
+    """Extreme rays of the cone {x in Q^d : <r, x> <= 0 for every row r}.
+
+    Returns (ray, active) pairs: each ray is a primitive integer vector
+    and `active` holds the indices of the rows with <r, ray> = 0.  A cone
+    that is not pointed has no extreme rays, and the result is empty.
+
+    The pass starts from the simplicial cone of the first d independent
+    rows and adds the others one at a time.  A ray pair straddling the new
+    hyperplane is combined only when it is adjacent: no third ray is
+    active on every row the two share.
+    """
+    ints = [_integer_row(r)[0] for r in rows]
+    _, start, _ = eliminate([[r[j] for r in ints] for j in range(d)])
+    if len(start) < d:
+        return []
+    # the rays of the start cone are the columns of -A^-1; reducing [A | I]
+    # leaves D * A^-1 on the right, D the common pivot m[k][k]
+    m, _, _ = eliminate([ints[i] + [int(j == k) for j in range(d)] for k, i in enumerate(start)])
+    flip = -1 if m[0][0] > 0 else 1
+    start_mask = sum(1 << i for i in start)
+    # each ray carries the bitmask of the rows it is active on
+    rays = [
+        (_primitive([flip * m[k][d + j] for k in range(d)]), start_mask & ~(1 << start[j]))
+        for j in range(d)
+    ]
+    for i in sorted(set(range(len(ints))) - set(start)):
+        row, bit = ints[i], 1 << i
+        values = [sum(map(int.__mul__, row, ray)) for ray, _ in rays]
+        pos = [k for k, v in enumerate(values) if v > 0]
+        neg = [k for k, v in enumerate(values) if v < 0]
+        new = []
+        for p in pos:
+            for q in neg:
+                common = rays[p][1] & rays[q][1]
+                if common.bit_count() < d - 2 or any(
+                    k != p and k != q and common & act == common for k, (_, act) in enumerate(rays)
+                ):
+                    continue
+                vp, vq = values[p], -values[q]
+                ray = _primitive([vp * x + vq * y for x, y in zip(rays[q][0], rays[p][0])])
+                new.append((ray, common | bit))
+        rays = [
+            (ray, act | bit if v == 0 else act) for (ray, act), v in zip(rays, values) if v <= 0
+        ] + new
+    return sorted(
+        (tuple(ray), frozenset(i for i in range(len(ints)) if act >> i & 1)) for ray, act in rays
+    )
 
 
-def fm_feasible(constraints: Sequence[Constraint], n: int) -> bool:
-    """Feasibility of {x : <a_i, x> <= b_i} by Fourier-Motzkin elimination."""
-    rows = {_normalize_constraint(vec(a), frac(b)) for a, b in constraints}
-    for var in range(n):
-        pos, neg, rest = [], [], []
-        for a, b in rows:
-            if a[var] > 0:
-                pos.append((a, b))
-            elif a[var] < 0:
-                neg.append((a, b))
-            else:
-                rest.append((a, b))
-        new = set(_normalize_constraint(a, b) for a, b in rest)
-        for ap, bp in pos:
-            for an, bn in neg:
-                # eliminate: combine with weights 1/ap[var], -1/an[var]
-                wp = Fraction(1) / ap[var]
-                wn = Fraction(-1) / an[var]
-                a = tuple(x * wp + y * wn for x, y in zip(ap, an))
-                b = bp * wp + bn * wn
-                new.add(_normalize_constraint(a, b))
-        if len(new) > _FM_ROW_LIMIT:
-            raise RuntimeError("Fourier-Motzkin blow-up beyond desk scale")
-        rows = new
-    return all(b >= 0 for a, b in rows)
+def _primitive(ray: list[int]) -> list[int]:
+    g = math.gcd(*ray)
+    return [x // g for x in ray]
 
 
 def enumerate_vertices(constraints: Sequence[Constraint], n: int) -> list[Vec]:
-    """All vertices of {x : <a_i, x> <= b_i}, by n-subset enumeration.
+    """All vertices of {x : <a_i, x> <= b_i}, by double description.
 
-    Each returned point satisfies n linearly independent active
-    constraints and all remaining ones, which makes it an extreme point.
+    The homogenized cone {(x, lam) : <a_i, x> <= b_i lam, lam >= 0} has the
+    rays (v, 1) for the vertices v and (r, 0) for the extreme rays of the
+    recession cone.  A polyhedron that contains a line has no vertex, and
+    its cone is not pointed.
     """
-    cons = [(vec(a), frac(b)) for a, b in constraints]
-    found: set[Vec] = set()
-    for subset in combinations(range(len(cons)), n):
-        rows = [cons[i][0] for i in subset]
-        rhs = [cons[i][1] for i in subset]
-        x = solve_square(rows, rhs)
-        if x is None:
-            continue
-        if all(dot(a, x) <= b for a, b in cons):
-            found.add(x)
-    return sorted(found)
+    rows = [list(vec(a)) + [-frac(b)] for a, b in constraints]
+    rows.append([0] * n + [-1])
+    rays = double_description(rows, n + 1)
+    return sorted(tuple(Fraction(x, ray[n]) for x in ray[:n]) for ray, _ in rays if ray[n] > 0)
 
 
 def _affine_coordinates(points: Sequence[Vec]) -> tuple[list[Vec], int]:
-    """Coordinates of `points` in a rational basis of their affine hull.
+    """Coordinates of `points` in their affine hull, and its dimension d.
 
-    Returns (coords, d) with d the affine dimension; coords are d-tuples.
+    The d pivot coordinates of the differences from the first point are
+    independent on the hull, so projecting onto them is injective.
     """
-    p0 = points[0]
-    diffs = [tuple(x - y for x, y in zip(p, p0)) for p in points[1:]]
-    # row-reduce to pick an independent spanning subset
-    basis: list[Vec] = []
-    reduced: list[Vec] = []
-    for dvec in diffs:
-        r = list(dvec)
-        for bpivot, bred in zip(basis, reduced):
-            # bred has a leading 1 at its pivot position
-            piv = next(i for i, x in enumerate(bred) if x != 0)
-            if r[piv] != 0:
-                f = r[piv]
-                r = [x - f * y for x, y in zip(r, bred)]
-        if any(x != 0 for x in r):
-            lead = next(x for x in r if x != 0)
-            reduced.append(tuple(x / lead for x in r))
-            basis.append(dvec)
-    d = len(basis)
-    if d == 0:
-        return [() for _ in points], 0
-    # solve coords: p - p0 = sum c_i basis_i  (consistent by construction)
-    # build a square solvable system using d independent coordinate rows
-    rows_idx: list[int] = []
-    mat: list[list[Fraction]] = []
-    for i in range(len(p0)):
-        cand = mat + [[basis[j][i] for j in range(d)]]
-        if _rank(cand) > len(mat):
-            mat.append(cand[-1])
-            rows_idx.append(i)
-        if len(mat) == d:
-            break
-    coords = []
-    for p in points:
-        rhs = [p[i] - p0[i] for i in rows_idx]
-        c = solve_square(mat, rhs)
-        assert c is not None
-        coords.append(c)
-    return coords, d
-
-
-def _rank(rows: list[list[Fraction]]) -> int:
-    m = [list(r) for r in rows]
-    rank = 0
-    cols = len(m[0]) if m else 0
-    for col in range(cols):
-        piv = next((r for r in range(rank, len(m)) if m[r][col] != 0), None)
-        if piv is None:
-            continue
-        m[rank], m[piv] = m[piv], m[rank]
-        inv = Fraction(1) / m[rank][col]
-        m[rank] = [x * inv for x in m[rank]]
-        for r in range(len(m)):
-            if r != rank and m[r][col] != 0:
-                f = m[r][col]
-                m[r] = [x - f * y for x, y in zip(m[r], m[rank])]
-        rank += 1
-    return rank
-
-
-def _det(rows: list[list[Fraction]]) -> Fraction:
-    n = len(rows)
-    m = [list(r) for r in rows]
-    det = Fraction(1)
-    for col in range(n):
-        piv = next((r for r in range(col, n) if m[r][col] != 0), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != col:
-            m[col], m[piv] = m[piv], m[col]
-            det = -det
-        det *= m[col][col]
-        inv = Fraction(1) / m[col][col]
-        for r in range(col + 1, n):
-            if m[r][col] != 0:
-                f = m[r][col] * inv
-                m[r] = [x - f * y for x, y in zip(m[r], m[col])]
-    return det
+    _, cols, _ = eliminate([[x - y for x, y in zip(p, points[0])] for p in points[1:]])
+    return [tuple(p[c] for c in cols) for p in points], len(cols)
 
 
 def triangulate(points: Sequence[Vec]) -> list[tuple[Vec, ...]]:
     """Triangulate conv(points) into simplices of its affine dimension.
 
-    Fans from the lexicographically smallest vertex at every recursion
+    Fans from the lexicographically smallest point at every recursion
     level, so the decomposition is deterministic.
     """
     pts = sorted(set(points))
-    if not pts:
-        return []
+    return _fan(pts) if pts else []
+
+
+def _fan(pts: list[Vec]) -> list[tuple[Vec, ...]]:
+    # pts is sorted and distinct, so pts[0] is the apex
     coords, d = _affine_coordinates(pts)
-    return _triangulate_full(pts, [list(c) for c in coords], d)
-
-
-def _triangulate_full(pts: list[Vec], coords: list[list[Fraction]], d: int) -> list[tuple[Vec, ...]]:
-    if d == 0:
-        return [(pts[0],)]
-    order = sorted(range(len(pts)), key=lambda i: pts[i])
-    apex = order[0]
+    if len(pts) == d + 1:
+        return [tuple(pts)]
     simplices: list[tuple[Vec, ...]] = []
-    for facet_idx in _facets(coords, d):
-        if apex in facet_idx:
-            continue
-        fpts = [pts[i] for i in facet_idx]
-        fcoords_full = [coords[i] for i in facet_idx]
-        fcoords, fd = _affine_coordinates([tuple(c) for c in fcoords_full])
-        if fd != d - 1:
-            continue
-        for simplex in _triangulate_full(fpts, [list(c) for c in fcoords], fd):
-            simplices.append((pts[apex],) + simplex)
+    for facet in _facets(coords, d):
+        if 0 not in facet:
+            simplices += [(pts[0],) + s for s in _fan([pts[i] for i in facet])]
     return simplices
 
 
-def _facets(coords: list[list[Fraction]], d: int) -> list[tuple[int, ...]]:
-    """Index sets of the facets of a full-dimensional point configuration."""
-    npts = len(coords)
-    seen: dict[tuple, tuple[int, ...]] = {}
-    for subset in combinations(range(npts), d):
-        base = coords[subset[0]]
-        mat = [[coords[i][j] - base[j] for j in range(d)] for i in subset[1:]]
-        if _rank(mat) != d - 1:
-            continue
-        # hyperplane through the subset: normal via cofactor expansion
-        normal = _hyperplane_normal(mat, d)
-        offset = dot(normal, base)
-        pos = any(dot(normal, c) > offset for c in coords)
-        neg = any(dot(normal, c) < offset for c in coords)
-        if pos and neg:
-            continue
-        if neg:
-            normal = tuple(-x for x in normal)
-            offset = -offset
-        on = tuple(i for i in range(npts) if dot(normal, coords[i]) == offset)
-        key = _normalize_constraint(normal, offset)
-        seen[key] = on
-    return list(seen.values())
+def _facets(coords: list[Vec], d: int) -> list[tuple[int, ...]]:
+    """Index sets of the facets of a full-dimensional point configuration.
 
-
-def _hyperplane_normal(mat: list[list[Fraction]], d: int) -> Vec:
-    # normal to the span of d-1 row vectors in R^d by signed minors
-    normal = []
-    for j in range(d):
-        minor = [[row[k] for k in range(d) if k != j] for row in mat]
-        s = Fraction(-1) ** j
-        normal.append(s * (_det(minor) if minor else Fraction(1)))
-    return tuple(normal)
+    The facet inequalities <a, x> <= b are the extreme rays of the cone of
+    valid inequalities {(a, b) : <a, p_i> <= b}; the trivial one, a = 0,
+    is skipped.
+    """
+    rays = double_description([list(c) + [-1] for c in coords], d + 1)
+    return [tuple(sorted(act)) for ray, act in rays if any(ray[:d])]
 
 
 def simplex_volume(simplex: Sequence[Vec], n: int) -> Fraction:
     rows = [[x - y for x, y in zip(p, simplex[0])] for p in simplex[1:]]
     if len(rows) != n:
         return Fraction(0)
-    det = _det(rows)
-    fact = 1
-    for k in range(2, n + 1):
-        fact *= k
-    return abs(det) / fact
+    return abs(eliminate(rows)[2]) / math.factorial(n)
 
 
 def polytope_volume(points: Sequence[Vec], n: int) -> Fraction:
     """Exact n-volume of conv(points); 0 when the hull is lower-dimensional."""
-    pts = sorted(set(tuple(vec(p)) for p in points))
-    if not pts:
-        return Fraction(0)
-    coords, d = _affine_coordinates(pts)
-    if d < n:
-        return Fraction(0)
-    total = Fraction(0)
-    for simplex in _triangulate_full(pts, [list(c) for c in coords], d):
-        total += simplex_volume(simplex, n)
-    return total
-
-
-def hpolytope_volume(constraints: Sequence[Constraint], n: int) -> Fraction:
-    """Exact volume of a bounded {x : Ax <= b} by Lasserre's recursion.
-
-    Each facet term is b_i / |a_ik| times the volume of the facet
-    projected along coordinate k; the norm factors cancel, so every
-    intermediate quantity stays rational.  Signed terms make the choice
-    of origin irrelevant.
-    """
-    rows = {_normalize_constraint(vec(a), frac(b)) for a, b in constraints}
-    return _lasserre(sorted(rows), n)
-
-
-def _lasserre(rows: list[Constraint], n: int) -> Fraction:
-    trivial = [b for a, b in rows if all(x == 0 for x in a)]
-    if any(b < 0 for b in trivial):
-        return Fraction(0)
-    rows = [(a, b) for a, b in rows if any(x != 0 for x in a)]
-    if n == 1:
-        upper = [b / a[0] for a, b in rows if a[0] > 0]
-        lower = [b / a[0] for a, b in rows if a[0] < 0]
-        if not upper or not lower:
-            raise ValueError("unbounded polyhedron")
-        length = min(upper) - max(lower)
-        return length if length > 0 else Fraction(0)
-    total = Fraction(0)
-    for i, (a, b) in enumerate(rows):
-        k = next(j for j, x in enumerate(a) if x != 0)
-        sub: list[Constraint] = []
-        for j, (c, d) in enumerate(rows):
-            if j == i:
-                continue
-            f = c[k] / a[k]
-            nc = tuple(c[t] - f * a[t] for t in range(n) if t != k)
-            sub.append(_normalize_constraint(nc, d - f * b))
-        total += (b / abs(a[k])) * _lasserre(sorted(set(sub)), n - 1)
-    return total / n
+    simplices = triangulate([vec(p) for p in points])
+    return sum((simplex_volume(s, n) for s in simplices), Fraction(0))

@@ -24,6 +24,7 @@ from .weights import depends_on_theta, torus_values
 
 __all__ = [
     "CLIP_FLOOR",
+    "MAX_GRID_POINTS",
     "RadialSchedule",
     "LimitEstimate",
     "ProfileEntry",
@@ -41,6 +42,10 @@ __all__ = [
 
 CLIP_FLOOR = -1.0e6
 _CLIP_REJECT_FRACTION = 0.01
+
+# Largest quadrature grid one evaluation may build: 2^24 points, a 256 MiB
+# complex128 array.  Larger grids fail before any allocation.
+MAX_GRID_POINTS = 2**24
 
 # Per-axis grid offsets in units of the node spacing.  Golden-ratio
 # multiples guarantee that no integer combination of angles ever lands
@@ -126,9 +131,18 @@ def _theta_grids(n: int, nodes: int) -> list[np.ndarray]:
     return grids
 
 
+def _check_grid(shape) -> None:
+    size = math.prod(shape)
+    if size > MAX_GRID_POINTS:
+        raise ValueError(
+            f"quadrature grid of {size} points exceeds the limit of {MAX_GRID_POINTS}"
+        )
+
+
 def _torus_stats(w, t: Sequence[float], nodes: int, floor: float = CLIP_FLOOR):
     n = len(t)
     if depends_on_theta(w):
+        _check_grid((nodes,) * n)
         theta = _theta_grids(n, nodes)
         vals = np.broadcast_to(
             torus_values(w, tuple(float(x) for x in t), theta), (nodes,) * n
@@ -202,6 +216,7 @@ def sphere_mean(w, r: float, nodes: int, dim: int, radial_nodes: int | None = No
     if radial_nodes is None:
         radial_nodes = 64 if n == 2 else 16
     profiles = _equal_area_log_profiles(n, radial_nodes)
+    _check_grid((radial_nodes,) * (n - 1) + ((nodes,) * n if depends_on_theta(w) else ()))
     t = tuple(r + p for p in profiles)
     if depends_on_theta(w):
         theta_axes = []
@@ -366,6 +381,7 @@ def slice_lelong(w, axis: int, sched: RadialSchedule = DEFAULT_SCHEDULE, dim: in
     if axis not in (1, 2):
         raise ValueError("axis must be 1 or 2")
     other = 2 - (axis - 1) - 1  # 0-based index of the surviving variable
+    _check_grid((sched.angular_nodes,))
 
     def level(r):
         t = [0.0, 0.0]

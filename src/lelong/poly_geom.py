@@ -25,8 +25,8 @@ from .exactgeom import (
     Constraint,
     Vec,
     dot,
-    enumerate_vertices,
-    fm_feasible,
+    double_description,
+    eliminate,
     frac,
     polytope_volume,
     vec,
@@ -125,38 +125,38 @@ class GammaMeasure:
     total_mass: Fraction
 
 
-def _collapse(points: Sequence[Vec]) -> list[Vec]:
-    """Drop duplicates and coordinatewise-dominated points."""
-    pts = sorted(set(points))
-    kept = []
-    for p in pts:
-        dominated = any(
-            q != p and all(qx <= px for qx, px in zip(q, p)) for q in pts
-        )
-        if not dominated:
-            kept.append(p)
-    return kept
+def _check_axes(S: ExponentSet) -> None:
+    for k in range(S.dimension):
+        if all(p[k] == 0 for p in S.points):
+            raise DegenerateIndicatorError(k + 1)
 
 
-def _is_hull_vertex(p: Vec, others: Sequence[Vec], n: int) -> bool:
-    # p is extreme for conv(S)+R_+^n iff some t < 0 strictly separates it;
-    # by homogeneity that is feasibility of {t_k <= -1, <q - p, t> <= -1}.
-    cons: list[Constraint] = []
-    for k in range(n):
-        e = tuple(Fraction(1) if i == k else Fraction(0) for i in range(n))
-        cons.append((e, Fraction(-1)))
-    for q in others:
-        cons.append((tuple(qx - px for qx, px in zip(q, p)), Fraction(-1)))
-    return fm_feasible(cons, n)
+def _diagram(S: ExponentSet) -> tuple[list[tuple[Vec, tuple[Vec, ...]]], tuple[Vec, ...]]:
+    """One double-description pass over the sublevel polyhedron of S.
 
-
-def _sublevel_constraints(S: ExponentSet) -> list[Constraint]:
+    The rows over (t, lam) are the orthant t_k <= 0, -lam <= 0, which
+    starts the pass, and <J, t> + lam <= 0 for each generator.  Returns
+    the sorted vertices t0, each with its dual face (the hull vertices J
+    with <J, t0> = -1), and the hull vertices of conv(S) + R_+^n.  These
+    are the generators whose constraint is a facet, i.e. has incident
+    rays of rank n: by Farkas, exactly the J that alone attain the max at
+    some strictly negative t.  No axis check is made here, since bounded
+    faces exist even when an axis direction is unblocked.
+    """
     n = S.dimension
-    cons: list[Constraint] = [(p, Fraction(-1)) for p in S.points]
-    for k in range(n):
-        e = tuple(Fraction(1) if i == k else Fraction(0) for i in range(n))
-        cons.append((e, Fraction(0)))
-    return cons
+    orthant = [[(-1 if k == n else 1) * int(i == k) for i in range(n + 1)] for k in range(n + 1)]
+    rays = double_description(orthant + [list(J) + [1] for J in S.points], n + 1)
+    hull = [
+        j for j in range(len(S.points))
+        if len(eliminate([ray for ray, act in rays if n + 1 + j in act])[1]) == n
+    ]
+    vertices = sorted(
+        (tuple(Fraction(x, ray[n]) for x in ray[:n]),
+         tuple(S.points[j] for j in hull if n + 1 + j in act))
+        for ray, act in rays
+        if ray[n] > 0
+    )
+    return vertices, tuple(S.points[j] for j in hull)
 
 
 def sublevel_vertices(S: ExponentSet) -> SublevelPolyhedron:
@@ -167,59 +167,46 @@ def sublevel_vertices(S: ExponentSet) -> SublevelPolyhedron:
     which pins the max at exactly -1.
     """
     n = S.dimension
-    for k in range(n):
-        if all(p[k] == 0 for p in S.points):
-            raise DegenerateIndicatorError(k + 1)
-    cons = _sublevel_constraints(S)
-    verts = enumerate_vertices(cons, n)
+    _check_axes(S)
+    verts = tuple(t0 for t0, _ in _diagram(S)[0])
     for t0 in verts:
         assert S.support_value(t0) == -1, f"vertex {t0} off the level set"
+    cons: list[Constraint] = [(p, Fraction(-1)) for p in S.points]
+    for k in range(n):
+        cons.append((tuple(Fraction(int(i == k)) for i in range(n)), Fraction(0)))
     return SublevelPolyhedron(
         constraints=tuple(cons),
-        extreme_points=tuple(verts),
+        extreme_points=verts,
         level_set_descriptor="{t in R_-^n : max_J <J,t> = -1}",
     )
 
 
 def dominated_hull(S: ExponentSet) -> NewtonDiagramStruct:
-    """Vertices and bounded faces of conv(S.points) + R_+^n."""
-    hull = _hull_vertices(S)
-    faces = []
-    for t0 in _strict_negative_level_vertices(S):
-        on_face = tuple(p for p in hull if dot(p, t0) == -1)
-        if on_face:
-            faces.append(NewtonDiagramFace(vertices=on_face, normal=t0))
+    """Vertices and bounded faces of conv(S.points) + R_+^n.
+
+    The bounded faces are the dual faces of the strictly negative
+    vertices of the sublevel polyhedron.
+    """
+    vertices, hull = _diagram(S)
     return NewtonDiagramStruct(
         generators=S,
-        hull_vertices=tuple(hull),
-        bounded_faces=tuple(faces),
+        hull_vertices=hull,
+        bounded_faces=tuple(
+            NewtonDiagramFace(vertices=face, normal=t0)
+            for t0, face in vertices
+            if face and all(x < 0 for x in t0)
+        ),
     )
-
-
-def _hull_vertices(S: ExponentSet) -> list[Vec]:
-    candidates = _collapse(S.points)
-    return [
-        p
-        for p in candidates
-        if _is_hull_vertex(p, [q for q in candidates if q != p], S.dimension)
-    ]
-
-
-def _strict_negative_level_vertices(S: ExponentSet) -> list[Vec]:
-    # bounded faces of the polyhedron correspond to vertices of the
-    # sublevel set with strictly negative coordinates; those exist even
-    # when an axis direction is unblocked, so skip the degeneracy check
-    verts = enumerate_vertices(_sublevel_constraints(S), S.dimension)
-    return [t0 for t0 in verts if all(x < 0 for x in t0)]
 
 
 def dual_face(S: ExponentSet, t0: Sequence) -> tuple[Vec, ...]:
     """Hull vertices lying on the supporting hyperplane <a, t0> = -1."""
     t0v = vec(t0)
-    sub = sublevel_vertices(S)
-    if t0v not in sub.extreme_points:
+    _check_axes(S)
+    faces = dict(_diagram(S)[0])
+    if t0v not in faces:
         raise ValueError(f"{t0v} is not an extreme point of the sublevel polyhedron")
-    return tuple(p for p in _hull_vertices(S) if dot(p, t0v) == -1)
+    return faces[t0v]
 
 
 def cone_volume(face_vertices: Sequence[Sequence], dimension: int) -> Fraction:
@@ -241,44 +228,10 @@ def gamma_measure(S: ExponentSet) -> GammaMeasure:
     wall and its dual face is lower-dimensional) are dropped: masses are
     positive by construction of the measure.
     """
-    n = S.dimension
-    sub = sublevel_vertices(S)
-    hull = _hull_vertices(S)
+    _check_axes(S)
     atoms = []
-    total = Fraction(0)
-    for t0 in sub.extreme_points:
-        face = tuple(p for p in hull if dot(p, t0) == -1)
-        mass = cone_volume(face, n)
+    for t0, face in _diagram(S)[0]:
+        mass = cone_volume(face, S.dimension)
         if mass > 0:
             atoms.append((t0, mass))
-            total += mass
-    return GammaMeasure(atoms=tuple(atoms), total_mass=total)
-
-
-def complement_volume(S: ExponentSet) -> Fraction:
-    """Volume of the orthant region cut off below the Newton diagram.
-
-    Valid when every coordinate axis of exponent space carries a pure
-    generator (p e_k), so the region is bounded:  it then equals
-    M^n - Vol([0, M]^n  intersect  conv(S)+R_+^n)  for any box bound M
-    at least the largest axis intercept.  Serves as an independent
-    cross-check of the atom masses.
-    """
-    from .exactgeom import hpolytope_volume
-
-    n = S.dimension
-    for k in range(n):
-        if not any(p[k] > 0 and all(p[j] == 0 for j in range(n) if j != k) for p in S.points):
-            raise ValueError(f"no pure generator on axis {k + 1}; region is unbounded")
-    M = max(x for p in S.points for x in p) + 1
-    verts = [t0 for t0 in sublevel_vertices(S).extreme_points]
-    cons: list[Constraint] = []
-    for t0 in verts:
-        cons.append((t0, Fraction(-1)))  # <a, t0> <= -1 cuts out the polyhedron
-    for k in range(n):
-        e = tuple(Fraction(1) if i == k else Fraction(0) for i in range(n))
-        ne = tuple(-x for x in e)
-        cons.append((e, M))
-        cons.append((ne, Fraction(0)))
-    inside = hpolytope_volume(cons, n)
-    return M**n - inside
+    return GammaMeasure(atoms=tuple(atoms), total_mass=sum((m for _, m in atoms), Fraction(0)))

@@ -27,8 +27,9 @@ from lelong.numeric_oracle import (
     indicator_profile,
     slice_lelong,
 )
-from lelong.poly_geom import ExponentSet, complement_volume, gamma_measure
+from lelong.poly_geom import ExponentSet, gamma_measure
 from lelong.weights import CoordLog, MaxOf, NegPowLog, PolyLog, Scale, scaling_transform
+from exact_oracles import complement_volume
 
 STANDARD = RadialSchedule(levels=(-5.0, -10.0, -20.0, -30.0), angular_nodes=256)
 

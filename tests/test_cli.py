@@ -217,6 +217,32 @@ def test_main_run_roundtrip(tmp_path, capsys):
     assert data["tasks"][0]["result"]["value"] == "6"
 
 
+def test_main_run_oversized_grid_is_a_task_error(tmp_path, capsys):
+    prob = {
+        "dimension": 3,
+        "objects": {
+            "w": {"kind": "expr", "expr": {"node": "poly_log", "terms": [
+                {"coeff": [1, 0], "exponent": [2, 0, 0]},
+                {"coeff": [1, 0], "exponent": [0, 3, 0]},
+                {"coeff": [1, 0], "exponent": [0, 0, 5]},
+            ]}},
+            "phi": {"kind": "monomial_weight", "exponents": [[2, 0, 0], [0, 3, 0], [0, 0, 5]]},
+        },
+        "tasks": [
+            {"op": "classical_lelong_numeric", "w": "w"},
+            {"op": "newton_number", "phi": "phi"},
+        ],
+    }
+    path = tmp_path / "prob.json"
+    path.write_text(json.dumps(prob))
+    main(["run", str(path), "--format", "json"])
+    first, second = json.loads(capsys.readouterr().out)["tasks"]
+    assert first["status"] == "error"
+    assert "exceeds the limit" in first["error"]
+    assert second["status"] == "ok"
+    assert second["result"]["value"] == "30"
+
+
 def test_main_missing_file(capsys):
     code = main(["run", "/nonexistent/prob.json"])
     assert code == 1

@@ -5,54 +5,27 @@ import pytest
 
 from lelong.exactgeom import (
     enumerate_vertices,
-    fm_feasible,
     frac,
-    hpolytope_volume,
     polytope_volume,
     simplex_volume,
-    solve_square,
     triangulate,
     vec,
 )
+from exact_oracles import hpolytope_volume, solve
 
 
 def test_solve_square_basic():
-    x = solve_square([[F(2), F(0)], [F(0), F(3)]], [F(-1), F(-1)])
+    x = solve([[F(2), F(0)], [F(0), F(3)]], [F(-1), F(-1)])
     assert x == (F(-1, 2), F(-1, 3))
 
 
 def test_solve_square_singular():
-    assert solve_square([[F(1), F(1)], [F(2), F(2)]], [F(1), F(2)]) is None
+    assert solve([[F(1), F(1)], [F(2), F(2)]], [F(1), F(2)]) is None
 
 
 def test_frac_rejects_floats():
     with pytest.raises(TypeError):
         frac(0.5)
-
-
-def test_fm_feasible_box():
-    cons = [
-        ((F(1), F(0)), F(1)),
-        ((F(-1), F(0)), F(0)),
-        ((F(0), F(1)), F(1)),
-        ((F(0), F(-1)), F(0)),
-    ]
-    assert fm_feasible(cons, 2)
-    cons.append(((F(1), F(1)), F(-1)))  # x + y <= -1 contradicts the box
-    assert not fm_feasible(cons, 2)
-
-
-def test_fm_feasible_three_vars():
-    cons = [((F(1), F(1), F(1)), F(-1))]
-    cons += [
-        (tuple(F(1) if i == k else F(0) for i in range(3)), F(0)) for k in range(3)
-    ]
-    assert fm_feasible(cons, 3)
-    cons += [
-        (tuple(F(-1) if i == k else F(0) for i in range(3)), F(1, 100)) for k in range(3)
-    ]
-    # now every |x_k| <= 1/100, so the sum cannot reach -1
-    assert not fm_feasible(cons, 3)
 
 
 def test_enumerate_vertices_unit_square():
@@ -93,6 +66,9 @@ def test_polytope_volume_nonsimplicial():
     # unit cube in 3-D, eight vertices
     cube = [(i, j, k) for i in (0, 1) for j in (0, 1) for k in (0, 1)]
     assert polytope_volume(cube, 3) == F(1)
+    simplices = triangulate([vec(p) for p in cube])
+    assert len(simplices) == 6  # three squares away from the apex, two triangles each
+    assert all(simplex_volume(s, 3) == F(1, 6) for s in simplices)
 
 
 def test_hpolytope_volume_box_and_cut():

@@ -1,5 +1,6 @@
 import math
 import random
+import time
 from fractions import Fraction as F
 
 import numpy as np
@@ -181,6 +182,24 @@ def test_classical_dimension_three():
 def test_classical_rejects_high_dimension():
     with pytest.raises(ValueError, match="1..3"):
         classical_lelong_numeric(CoordLog(1), FAST, dim=4)
+
+
+def test_oversized_sphere_grid_fails_before_allocating():
+    # 16^2 * 256^3 points: a 64 GiB complex128 array without the limit;
+    # test_classical_dimension_three builds 8^2 * 64^3, exactly the limit
+    w = PolyLog.of([(1, (2, 0, 0)), (1, (0, 3, 0)), (1, (0, 0, 5))])
+    start = time.monotonic()
+    with pytest.raises(ValueError, match="exceeds the limit"):
+        classical_lelong_numeric(w, dim=3)
+    assert time.monotonic() - start < 1.0
+
+
+def test_oversized_torus_and_slice_grids_fail():
+    w = PolyLog.of([(1, (1, 0, 0, 0)), (1, (0, 1, 1, 1))])
+    with pytest.raises(ValueError, match="exceeds the limit"):
+        torus_mean(w, (-1.0,) * 4, 128)
+    with pytest.raises(ValueError, match="exceeds the limit"):
+        slice_lelong(flat_weight(), 1, RadialSchedule(angular_nodes=2**24 + 1))
 
 
 # ---------------------------------------------------------------------------

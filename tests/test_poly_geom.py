@@ -3,17 +3,17 @@ from fractions import Fraction as F
 
 import pytest
 
-from lelong.exactgeom import dot, solve_square, vec
+from lelong.exactgeom import dot, vec
 from lelong.poly_geom import (
     DegenerateIndicatorError,
     ExponentSet,
-    complement_volume,
     cone_volume,
     dominated_hull,
     dual_face,
     gamma_measure,
     sublevel_vertices,
 )
+from exact_oracles import complement_volume, solve
 
 
 def es(*points):
@@ -180,7 +180,7 @@ def _probe_vertices(S, grid=120):
     found = set()
 
     def try_pair(r1, r2, b1, b2):
-        x = solve_square([list(r1), list(r2)], [b1, b2])
+        x = solve([list(r1), list(r2)], [b1, b2])
         if x is None:
             return
         if any(t > 0 for t in x):
