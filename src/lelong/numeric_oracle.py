@@ -6,9 +6,11 @@ radii, applies the atomic boundary measure to arbitrary evaluable
 weights, and measures the one-variable mass of a weight restricted to a
 coordinate hyperplane.
 
-Determinism contract: fixed node grids, fixed evaluation order, and
-compensated summation via math.fsum, so identical inputs produce
-bitwise-identical outputs.
+Determinism contract: fixed node grids and an exact sum, so identical
+inputs produce bitwise-identical outputs.  Grids are evaluated in
+chunks of at most 2^18 points; each chunk is reduced to exact bucket
+sums, and one math.fsum over the buckets of all chunks equals
+math.fsum of all the grid values.  No mean depends on the chunking.
 """
 
 from __future__ import annotations
@@ -43,9 +45,12 @@ __all__ = [
 CLIP_FLOOR = -1.0e6
 _CLIP_REJECT_FRACTION = 0.01
 
-# Largest quadrature grid one evaluation may build: 2^24 points, a 256 MiB
-# complex128 array.  Larger grids fail before any allocation.
+# Largest quadrature grid one mean may cover: 2^24 points.  This caps the
+# work of one mean; larger grids fail before any evaluation.
 MAX_GRID_POINTS = 2**24
+
+# Points evaluated at once: 2^18, 4 MiB per complex128 array.
+_CHUNK_POINTS = 2**18
 
 # Per-axis grid offsets in units of the node spacing.  Golden-ratio
 # multiples guarantee that no integer combination of angles ever lands
@@ -120,13 +125,15 @@ class ProfileEntry:
     error: str | None = None
 
 
-def _theta_grids(n: int, nodes: int) -> list[np.ndarray]:
+def _theta_grids(n: int, nodes: int, ndim: int | None = None) -> list[np.ndarray]:
+    """Angle arrays of the n-torus grid, angle k along dimension ndim - n + k."""
+    ndim = n if ndim is None else ndim
     grids = []
     for k in range(n):
         offset = ((k + 1) * _GOLDEN) % 1.0
         g = 2.0 * math.pi * (np.arange(nodes) + offset) / nodes
-        shape = [1] * n
-        shape[k] = nodes
+        shape = [1] * ndim
+        shape[ndim - n + k] = nodes
         grids.append(g.reshape(shape))
     return grids
 
@@ -139,21 +146,86 @@ def _check_grid(shape) -> None:
         )
 
 
+def _exact_parts(x: np.ndarray) -> list[float]:
+    """Floats whose math.fsum equals math.fsum(x), for at most 2^26 values.
+
+    Finite values are bucketed by their top 12 bits (sign and exponent).
+    Within a bucket, hi (x with the low 26 mantissa bits cleared) and
+    lo = x - hi are multiples of one power of two and short enough that
+    2^26 of them sum exactly in float64, so the two bincount sums per
+    bucket are exact whatever their order.  Non-finite values pass
+    through as they are, and a signed zero stands for an all-zero x.
+    """
+    x = x.ravel()
+    parts: list[float] = []
+    finite = np.isfinite(x)
+    if not finite.all():
+        parts.extend(x[~finite].tolist())
+        x = x[finite]
+    bits = x.view(np.int64)
+    key = (bits >> 52) & 0xFFF
+    hi = (bits & np.int64(-(1 << 26))).view(np.float64)
+    for sums in (np.bincount(key, weights=hi, minlength=4096),
+                 np.bincount(key, weights=x - hi, minlength=4096)):
+        parts.extend(sums[sums != 0].tolist())
+    if not parts and x.size:
+        parts.append(-0.0 if np.signbit(x).all() else 0.0)
+    return parts
+
+
+def _chunks(shape: tuple[int, ...]):
+    """Consecutive index boxes of at most _CHUNK_POINTS points covering shape.
+
+    Splits the leading axis, and the axes after it while one slice is
+    still over the budget.
+    """
+    k = 0
+    while k < len(shape) - 1 and math.prod(shape[k + 1:]) > _CHUNK_POINTS:
+        k += 1
+    step = max(1, _CHUNK_POINTS // math.prod(shape[k + 1:]))
+    tail = (slice(None),) * (len(shape) - k - 1)
+    for prefix in np.ndindex(*shape[:k]):
+        head = tuple(slice(i, i + 1) for i in prefix)
+        for start in range(0, shape[k], step):
+            yield head + (slice(start, start + step),) + tail
+
+
+def _take(x, box: tuple[slice, ...]):
+    """The part of x inside box; x is a scalar or an array of the grid's ndim."""
+    a = np.asarray(x)
+    if a.ndim == 0:
+        return x
+    return a[tuple(s if n > 1 else slice(None) for s, n in zip(box, a.shape))]
+
+
+def _grid_mean(w, t, theta, shape, floor: float):
+    """(mean, clipped, total) of w clipped at floor over the broadcast grid.
+
+    Evaluates chunk by chunk under _CHUNK_POINTS and reduces every chunk
+    into one math.fsum stream, so the mean is bit-identical to fsum of
+    all values whatever the chunking.
+    """
+    clipped = 0
+    parts: list[float] = []
+    for box in _chunks(shape):
+        sub = tuple(len(range(*s.indices(n))) for s, n in zip(box, shape))
+        vals = np.broadcast_to(
+            torus_values(w, [_take(x, box) for x in t], [_take(x, box) for x in theta]), sub
+        )
+        clipped += int(np.count_nonzero(vals < floor))
+        parts.extend(_exact_parts(np.maximum(vals, floor)))
+    total = math.prod(shape)
+    return math.fsum(parts) / total, clipped, total
+
+
 def _torus_stats(w, t: Sequence[float], nodes: int, floor: float = CLIP_FLOOR):
     n = len(t)
+    t = tuple(float(x) for x in t)
     if depends_on_theta(w):
         _check_grid((nodes,) * n)
-        theta = _theta_grids(n, nodes)
-        vals = np.broadcast_to(
-            torus_values(w, tuple(float(x) for x in t), theta), (nodes,) * n
-        )
-        total = nodes**n
-        clipped = int(np.count_nonzero(vals < floor))
-        clipped_vals = np.maximum(vals, floor)
-        mean = math.fsum(clipped_vals.ravel().tolist()) / total
-        return mean, clipped, total
+        return _grid_mean(w, t, _theta_grids(n, nodes), (nodes,) * n, floor)
     # theta-independent weight: one node represents the whole torus
-    val = float(torus_values(w, tuple(float(x) for x in t), tuple(0.0 for _ in t)))
+    val = float(torus_values(w, t, tuple(0.0 for _ in t)))
     total = nodes**n
     if val < floor:
         return floor, total, total
@@ -207,9 +279,8 @@ def _equal_area_log_profiles(n: int, radial_nodes: int) -> list[np.ndarray]:
     raise ValueError("sphere means are implemented for dimensions 1..3 only")
 
 
-def sphere_mean(w, r: float, nodes: int, dim: int, radial_nodes: int | None = None,
-                floor: float = CLIP_FLOOR) -> float:
-    """Mean of w over the sphere |z| = exp(r) in C^dim (uniform measure)."""
+def _sphere_stats(w, r: float, nodes: int, dim: int, radial_nodes: int | None = None,
+                  floor: float = CLIP_FLOOR):
     if r >= 0:
         raise ValueError("radius exponent must be negative")
     n = dim
@@ -219,23 +290,18 @@ def sphere_mean(w, r: float, nodes: int, dim: int, radial_nodes: int | None = No
     _check_grid((radial_nodes,) * (n - 1) + ((nodes,) * n if depends_on_theta(w) else ()))
     t = tuple(r + p for p in profiles)
     if depends_on_theta(w):
-        theta_axes = []
-        for k in range(n):
-            offset = ((k + 1) * _GOLDEN) % 1.0
-            g = 2.0 * math.pi * (np.arange(nodes) + offset) / nodes
-            shape = [1] * (profiles[0].ndim)
-            shape[-(n - k)] = nodes
-            theta_axes.append(g.reshape(shape))
-        full_shape = np.broadcast_shapes(
-            *(p.shape for p in t), *(g.shape for g in theta_axes)
-        )
-        vals = np.broadcast_to(torus_values(w, t, theta_axes), full_shape)
+        theta = _theta_grids(n, nodes, profiles[0].ndim)
     else:
-        theta = tuple(0.0 for _ in range(n))
-        full_shape = np.broadcast_shapes(*(p.shape for p in t))
-        vals = np.broadcast_to(torus_values(w, t, theta), full_shape)
-    vals = np.maximum(vals, floor)
-    return math.fsum(vals.ravel().tolist()) / vals.size
+        theta = (0.0,) * n
+    shape = np.broadcast_shapes(*(np.shape(x) for x in t + tuple(theta)))
+    return _grid_mean(w, t, theta, shape, floor)
+
+
+def sphere_mean(w, r: float, nodes: int, dim: int, radial_nodes: int | None = None,
+                floor: float = CLIP_FLOOR) -> float:
+    """Mean of w over the sphere |z| = exp(r) in C^dim (uniform measure)."""
+    mean, _, _ = _sphere_stats(w, r, nodes, dim, radial_nodes, floor)
+    return mean
 
 
 def _extrapolate(levels: list[float], ys: list[float], mode: str):
@@ -312,8 +378,7 @@ def classical_lelong_numeric(w, sched: RadialSchedule = DEFAULT_SCHEDULE, dim: i
         raise ValueError("classical estimates support dimensions 1..3 only")
 
     def level(r):
-        mean = sphere_mean(w, r, sched.angular_nodes, n, radial_nodes)
-        return mean, 0, 1
+        return _sphere_stats(w, r, sched.angular_nodes, n, radial_nodes)
 
     est = _sweep_levels(level, sched, "sphere probe")
     diag = directional_lelong_numeric(w, (1.0,) * n, sched)
@@ -383,23 +448,18 @@ def slice_lelong(w, axis: int, sched: RadialSchedule = DEFAULT_SCHEDULE, dim: in
     other = 2 - (axis - 1) - 1  # 0-based index of the surviving variable
     _check_grid((sched.angular_nodes,))
 
+    theta = [0.0, 0.0]
+    theta[other] = _theta_grids(1, sched.angular_nodes)[0]
+
     def level(r):
         t = [0.0, 0.0]
         t[axis - 1] = float("-inf")
         t[other] = r
-        offset = _GOLDEN % 1.0
-        g = 2.0 * math.pi * (np.arange(sched.angular_nodes) + offset) / sched.angular_nodes
-        theta = [0.0, 0.0]
-        theta[other] = g
-        vals = np.asarray(torus_values(w, tuple(t), tuple(theta)), dtype=float)
-        vals = np.broadcast_to(vals, g.shape)
-        total = vals.size
-        clipped = int(np.count_nonzero(vals < CLIP_FLOOR))
+        mean, clipped, total = _grid_mean(w, t, theta, (sched.angular_nodes,), CLIP_FLOOR)
         if clipped == total:
             raise SliceUndefinedError(
                 f"slice undefined: restriction to z_{axis} = 0 is identically -inf"
             )
-        mean = math.fsum(np.maximum(vals, CLIP_FLOOR).ravel().tolist()) / total
         return mean, clipped, total
 
     return _sweep_levels(level, sched, f"slice probe on axis {axis}")

@@ -153,35 +153,42 @@ def torus_values(w, t: Sequence, theta: Sequence) -> np.ndarray:
 
 
 def _polylog_values(w: PolyLog, t, theta) -> np.ndarray:
+    """log|sum_J c_J z^J| as peak + log|sum_J a_J (c_J/|c_J|) prod_k e^(i J_k theta_k)|.
+
+    The amplitudes a_J = exp(<J, t> + log|c_J| - peak) depend on t only.
+    Each phase is a product of per-axis factors, so every complex exp
+    runs on one theta array; the grid-sized work per term is the last
+    multiply and the add.  Zero exponents are skipped, so 0 * (-inf)
+    never appears.
+    """
     logamps = []
-    phases = []
     for c, J in w.terms:
-        la = math.log(abs(c))
-        ph = cmath.phase(c)
         amp = None
-        phase = None
         for k, Jk in enumerate(J):
-            if not Jk:
-                continue  # skip so that 0 * (-inf) never appears
-            term_a = Jk * np.asarray(t[k], dtype=float)
-            amp = term_a if amp is None else amp + term_a
-            term_p = Jk * np.asarray(theta[k], dtype=float)
-            phase = term_p if phase is None else phase + term_p
+            if Jk:
+                term = Jk * np.asarray(t[k], dtype=float)
+                amp = term if amp is None else amp + term
+        la = math.log(abs(c))
         logamps.append(la if amp is None else la + amp)
-        phases.append(ph if phase is None else ph + phase)
     peak = logamps[0]
     for la in logamps[1:]:
         peak = np.maximum(peak, la)
     peak = np.asarray(peak, dtype=float)
     with np.errstate(invalid="ignore", divide="ignore"):
         acc = None
-        for la, ph in zip(logamps, phases):
-            contrib = np.exp(np.where(peak == _NEG_INF, _NEG_INF, la - peak)) * np.exp(
-                1j * np.asarray(ph, dtype=float)
-            )
-            acc = contrib if acc is None else acc + contrib
-        out = np.where(peak == _NEG_INF, _NEG_INF, peak + np.log(np.abs(acc)))
-    return out
+        for (c, J), la in zip(w.terms, logamps):
+            contrib = np.exp(np.where(peak == _NEG_INF, _NEG_INF, la - peak)) * (c / abs(c))
+            for k, Jk in enumerate(J):
+                if Jk:
+                    contrib = contrib * np.exp(1j * (Jk * np.asarray(theta[k], dtype=float)))
+            if acc is None:
+                acc = contrib
+            elif np.shape(acc) == np.broadcast_shapes(np.shape(acc), np.shape(contrib)):
+                acc += contrib
+            else:
+                acc = acc + contrib
+        # where peak is -inf every amplitude is 0, so the sum is -inf as well
+        return peak + np.log(np.abs(acc))
 
 
 def eval_expr(w, z: Sequence[complex]):
