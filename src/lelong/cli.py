@@ -14,6 +14,7 @@ import argparse
 import io
 import json
 import math
+import os
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -300,7 +301,10 @@ def parse_problem(source, name: str | None = None) -> ProblemFile:
                     f"object {ref!r} must be pointwise evaluable (polynomial_log or expr)",
                 )
         tasks.append(task)
-    return ProblemFile(name=label, dimension=dim, objects=objects, tasks=tuple(tasks))
+    # a file's report names it by its base name, so report bytes do not
+    # depend on where the file lives; errors above keep the path as given
+    return ProblemFile(name=name or os.path.basename(str(label)), dimension=dim,
+                       objects=objects, tasks=tuple(tasks))
 
 
 # ---------------------------------------------------------------------------

@@ -7,15 +7,18 @@ weights, and measures the one-variable mass of a weight restricted to a
 coordinate hyperplane.
 
 Determinism contract: fixed node grids and an exact sum, so identical
-inputs produce bitwise-identical outputs.  Grids are evaluated in
-chunks of at most 2^18 points; each chunk is reduced to exact bucket
-sums, and one math.fsum over the buckets of all chunks equals
-math.fsum of all the grid values.  No mean depends on the chunking.
+inputs produce bitwise-identical outputs.  A grid is evaluated in chunks,
+concurrently on up to one thread per available CPU, with at most 2^18
+points in flight; each chunk is reduced to exact bucket sums, and one
+math.fsum over the buckets of all chunks equals math.fsum of all the
+grid values.  No mean depends on the chunking, the thread count or the
+order in which chunks finish.
 """
 
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -162,27 +165,29 @@ def _exact_parts(x: np.ndarray) -> list[float]:
     if not finite.all():
         parts.extend(x[~finite].tolist())
         x = x[finite]
-    bits = x.view(np.int64)
-    key = (bits >> 52) & 0xFFF
-    hi = (bits & np.int64(-(1 << 26))).view(np.float64)
-    for sums in (np.bincount(key, weights=hi, minlength=4096),
-                 np.bincount(key, weights=x - hi, minlength=4096)):
+    bits = x.view(np.uint64)
+    key = (bits >> np.uint64(52)).view(np.int64)
+    hi = (bits & ~np.uint64(2**26 - 1)).view(np.float64)
+    hi_sums = np.bincount(key, weights=hi, minlength=4096)
+    # lo = x - hi overwrites hi, whose sums are taken
+    lo_sums = np.bincount(key, weights=np.subtract(x, hi, out=hi), minlength=4096)
+    for sums in (hi_sums, lo_sums):
         parts.extend(sums[sums != 0].tolist())
     if not parts and x.size:
         parts.append(-0.0 if np.signbit(x).all() else 0.0)
     return parts
 
 
-def _chunks(shape: tuple[int, ...]):
-    """Consecutive index boxes of at most _CHUNK_POINTS points covering shape.
+def _chunks(shape: tuple[int, ...], budget: int):
+    """Consecutive index boxes of at most budget points covering shape.
 
     Splits the leading axis, and the axes after it while one slice is
     still over the budget.
     """
     k = 0
-    while k < len(shape) - 1 and math.prod(shape[k + 1:]) > _CHUNK_POINTS:
+    while k < len(shape) - 1 and math.prod(shape[k + 1:]) > budget:
         k += 1
-    step = max(1, _CHUNK_POINTS // math.prod(shape[k + 1:]))
+    step = max(1, budget // math.prod(shape[k + 1:]))
     tail = (slice(None),) * (len(shape) - k - 1)
     for prefix in np.ndindex(*shape[:k]):
         head = tuple(slice(i, i + 1) for i in prefix)
@@ -198,24 +203,55 @@ def _take(x, box: tuple[slice, ...]):
     return a[tuple(s if n > 1 else slice(None) for s, n in zip(box, a.shape))]
 
 
+def _cpus() -> int:
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no sched_getaffinity on this platform
+        return os.cpu_count() or 1
+
+
 def _grid_mean(w, t, theta, shape, floor: float):
     """(mean, clipped, total) of w clipped at floor over the broadcast grid.
 
-    Evaluates chunk by chunk under _CHUNK_POINTS and reduces every chunk
-    into one math.fsum stream, so the mean is bit-identical to fsum of
-    all values whatever the chunking.
+    Evaluates the grid in chunks on min(CPUs, ceil(points /
+    _CHUNK_POINTS)) threads, each chunk of at most _CHUNK_POINTS //
+    threads points, so that at most _CHUNK_POINTS points are in flight;
+    one thread runs inline.  Every chunk is reduced to exact bucket
+    sums, and one math.fsum over all of them gives the mean:
+    bit-identical to fsum of all values whatever the chunking, the
+    thread count or the order in which chunks finish.  An exception in
+    a chunk cancels the chunks not yet started and re-raises here.
     """
-    clipped = 0
-    parts: list[float] = []
-    for box in _chunks(shape):
-        sub = tuple(len(range(*s.indices(n))) for s, n in zip(box, shape))
-        vals = np.broadcast_to(
-            torus_values(w, [_take(x, box) for x in t], [_take(x, box) for x in theta]), sub
-        )
-        clipped += int(np.count_nonzero(vals < floor))
-        parts.extend(_exact_parts(np.maximum(vals, floor)))
     total = math.prod(shape)
-    return math.fsum(parts) / total, clipped, total
+    workers = min(_cpus(), -(-total // _CHUNK_POINTS))
+
+    def chunk(box):
+        sub = tuple(len(range(*s.indices(n))) for s, n in zip(box, shape))
+        vals = torus_values(w, [_take(x, box) for x in t], [_take(x, box) for x in theta])
+        # the inputs reach the evaluator as views, so an array that owns
+        # its data and covers the chunk was made for this call: clip in place
+        fresh = vals.shape == sub and vals.flags.owndata and vals.flags.writeable
+        out = vals if fresh else None
+        vals = np.broadcast_to(vals, sub)
+        clipped = int(np.count_nonzero(vals < floor))
+        return clipped, _exact_parts(np.maximum(vals, floor, out=out))
+
+    boxes = _chunks(shape, max(1, _CHUNK_POINTS // workers))
+    if workers == 1:
+        results = [chunk(box) for box in boxes]
+    else:
+        from concurrent import futures
+
+        with futures.ThreadPoolExecutor(workers) as pool:
+            pending = [pool.submit(chunk, box) for box in boxes]
+            try:
+                results = [f.result() for f in futures.as_completed(pending)]
+            finally:
+                for f in pending:
+                    f.cancel()
+    mean = math.fsum(p for _, parts in results for p in parts) / total
+    return mean, sum(c for c, _ in results), total
 
 
 def _torus_stats(w, t: Sequence[float], nodes: int, floor: float = CLIP_FLOOR):

@@ -129,10 +129,12 @@ def torus_values(w, t: Sequence, theta: Sequence) -> np.ndarray:
     t and theta entries may be scalars or broadcastable numpy arrays;
     entries of t equal to -inf restrict to a coordinate hyperplane.
     Objects outside the node algebra may participate by providing their
-    own ``torus_values(t, theta)`` method.
+    own ``torus_values(t, theta)`` method; grid means may call it from
+    several threads at once.  Its result is copied, so an array the
+    object keeps is never written by a caller.
     """
     if hasattr(w, "torus_values"):
-        return np.asarray(w.torus_values(t, theta), dtype=float)
+        return np.array(w.torus_values(t, theta), dtype=float)
     if isinstance(w, CoordLog):
         return np.asarray(t[w.axis - 1], dtype=float)
     if isinstance(w, NegPowLog):
@@ -312,24 +314,23 @@ def is_multicircled(w) -> bool:
     return not depends_on_theta(w)
 
 
-def is_psh_star(w, axis: int, dimension: int | None = None, probe_moduli=(0.3, 0.5, 0.7), probe_angles: int = 8) -> bool:
-    """Probe whether the restriction to {z_axis = 0} is somewhere finite."""
+def is_psh_star(w, axis: int, dimension: int | None = None) -> bool:
+    """Whether the restriction of w to {z_axis = 0} is somewhere finite.
+
+    Exact on the node algebra: a polynomial keeps a term free of
+    z_axis, a coordinate log or power of one is finite off its own
+    axis, a max needs one such child and a scaling its child.
+    """
     n = dimension if dimension is not None else dimension_of(w)
     if not 1 <= axis <= n:
         raise ValueError(f"axis {axis} out of range 1..{n}")
-    angles = 2 * math.pi * (np.arange(probe_angles) + 0.5) / probe_angles
-    for rho in probe_moduli:
-        t = [math.log(rho)] * n
-        t[axis - 1] = _NEG_INF
-        theta = []
-        for k in range(n):
-            if k == axis - 1:
-                theta.append(0.0)
-            else:
-                shape = [1] * n
-                shape[k] = probe_angles
-                theta.append(angles.reshape(shape))
-        vals = torus_values(w, t, theta)
-        if np.any(np.isfinite(vals)):
-            return True
-    return False
+    k = axis - 1
+    if isinstance(w, PolyLog):
+        return any(k >= len(J) or J[k] == 0 for _, J in w.terms)
+    if isinstance(w, (CoordLog, NegPowLog)):
+        return w.axis != axis
+    if isinstance(w, MaxOf):
+        return any(is_psh_star(c, axis, n) for c in w.children)
+    if isinstance(w, Scale):
+        return is_psh_star(w.child, axis, n)
+    raise TypeError(f"not a weight expression: {type(w).__name__}")

@@ -1,6 +1,8 @@
 import json
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -243,6 +245,23 @@ def test_main_run_oversized_grid_is_a_task_error(tmp_path, capsys):
     assert second["result"]["value"] == "30"
 
 
+def test_report_names_the_file_by_its_base_name(tmp_path, capsys):
+    blobs = []
+    for folder in ("a", "a_much_longer_directory/nested"):
+        path = tmp_path / folder / "prob.json"
+        path.parent.mkdir(parents=True)
+        path.write_text(json.dumps(minimal_problem()))
+        assert main(["run", str(path), "--format", "json"]) == 0
+        blobs.append(capsys.readouterr().out)
+    assert blobs[0] == blobs[1]
+    assert json.loads(blobs[0])["problem"] == "prob.json"
+    # errors keep the path as given
+    bad = tmp_path / "a" / "bad.json"
+    bad.write_text("[]")
+    with pytest.raises(ProblemError, match="^" + re.escape(f"{bad}: top level")):
+        parse_problem(str(bad))
+
+
 def test_main_missing_file(capsys):
     code = main(["run", "/nonexistent/prob.json"])
     assert code == 1
@@ -265,3 +284,12 @@ def test_selftest_subprocess_byte_identical():
     assert r1.returncode == 0
     assert r1.stdout == r2.stdout
     assert r1.stdout
+
+
+def test_selftest_matches_golden():
+    # the committed golden fixes the selftest JSON: any byte that moves is
+    # a change of the reported mathematics
+    golden = Path(__file__).parent / "golden" / "selftest.json"
+    r = subprocess.run([sys.executable, "-m", "lelong.cli", "selftest"], capture_output=True)
+    assert r.returncode == 0
+    assert r.stdout == golden.read_bytes()

@@ -1,9 +1,13 @@
-"""The chunked grid reduction: exact bucket sums, chunk invariance, memory, and
-agreement with whole-grid references."""
+"""The chunked grid reduction: exact bucket sums, chunk and worker invariance,
+memory, and agreement with whole-grid references."""
 
+import json
 import math
 import random
+import threading
+import time
 import tracemalloc
+from concurrent import futures
 from fractions import Fraction as F
 
 import numpy as np
@@ -13,6 +17,8 @@ from hypothesis import strategies as st
 
 import grid_oracles
 from lelong import numeric_oracle
+from lelong.cli import ProblemFile, execute, run_selftest
+from lelong.poly_geom import ExponentSet
 from lelong.numeric_oracle import (
     CLIP_FLOOR,
     RadialSchedule,
@@ -126,14 +132,163 @@ def test_chunked_mean_is_fsum_of_the_whole_grid(monkeypatch):
     assert same_float(mean, math.fsum(vals.ravel().tolist()) / total)
 
 
-def test_chunks_cover_the_grid_once(monkeypatch):
+def test_chunks_cover_the_grid_once():
     for budget, shape in [(7, (3, 5, 4)), (20, (3, 5, 4)), (1, (2, 3)), (100, (7,)), (4, (2, 1, 9))]:
-        monkeypatch.setattr(numeric_oracle, "_CHUNK_POINTS", budget)
         hits = np.zeros(shape, dtype=int)
-        for box in numeric_oracle._chunks(shape):
+        for box in numeric_oracle._chunks(shape, budget):
             assert hits[box].size <= budget
             hits[box] += 1
         assert (hits == 1).all()
+
+
+# ---------------------------------------------------------------------------
+# concurrent chunks
+
+
+# values of 500000 (log|z1 + z2|) fall below the floor near the torus zeros
+CLIPPING = Scale(F(500000), PolyLog.of([(1, (1, 0)), (1, (0, 1))]))
+
+# name -> ((mean, clipped, total) of every grid the case evaluates, grid size)
+WORKER_CASES = {
+    "torus 2-D": (lambda: [numeric_oracle._torus_stats(W2, (-1.0, -2.0), 64)], 64**2),
+    "torus 3-D": (lambda: [numeric_oracle._torus_stats(W3, (-1.0, -2.0, -0.5), 32)], 32**3),
+    "torus tree": (lambda: [numeric_oracle._torus_stats(TREE, (-3.0, -1.0), 64)], 64**2),
+    "torus clipped": (lambda: [numeric_oracle._torus_stats(CLIPPING, (-1.0, -1.0), 64)], 64**2),
+    "sphere 2-D": (lambda: [numeric_oracle._sphere_stats(W2, -3.0, 64, 2, radial_nodes=16)],
+                   16 * 64**2),
+    "sphere 3-D": (lambda: [numeric_oracle._sphere_stats(W3, -2.0, 16, 3, radial_nodes=4)],
+                   4**2 * 16**3),
+    "sphere clipped": (lambda: [numeric_oracle._sphere_stats(CLIPPING, -1.0, 64, 2, radial_nodes=16)],
+                       16 * 64**2),
+    "slice": (lambda: [(lv["mean"], lv["clipped"], lv["nodes"])
+                       for lv in slice_lelong(SLICE_W, 1, SCHED).diagnostics["levels"]], 64),
+}
+
+
+def _same_stats(a, b) -> bool:
+    return len(a) == len(b) and all(
+        same_float(x[0], y[0]) and x[1:] == y[1:] for x, y in zip(a, b))
+
+
+def _shuffled_completion(fs):
+    fs = list(fs)
+    futures.wait(fs)
+    random.Random(len(fs)).shuffle(fs)
+    return iter(fs)
+
+
+@pytest.mark.parametrize("name", sorted(WORKER_CASES))
+def test_stats_do_not_depend_on_workers(monkeypatch, name):
+    stats, size = WORKER_CASES[name]
+    reference = stats()
+    pools = []
+
+    class RecordingPool(futures.ThreadPoolExecutor):
+        def __init__(self, workers):
+            pools.append(workers)
+            super().__init__(workers)
+
+    monkeypatch.setattr(futures, "ThreadPoolExecutor", RecordingPool)
+    # eight chunks per grid at one worker, and smaller ones at more
+    monkeypatch.setattr(numeric_oracle, "_CHUNK_POINTS", size // 8)
+    for workers in (1, 2, 3):
+        monkeypatch.setattr(numeric_oracle, "_cpus", lambda: workers)
+        for shuffle in (False, True):
+            with monkeypatch.context() as m:
+                if shuffle:
+                    m.setattr(futures, "as_completed", _shuffled_completion)
+                assert _same_stats(stats(), reference)
+        # one chunk or one CPU runs inline; otherwise one pool per grid
+        assert set(pools) == ({workers} if workers > 1 else set())
+        pools.clear()
+    if "clipped" in name:
+        assert 0 < reference[0][1] < reference[0][2]
+
+
+class CachedWeight:
+    """Returns one stored array for every call and records the chunk sizes."""
+
+    theta_dependent = True
+    dimension = 2
+
+    def __init__(self, values):
+        self.values = values
+        self.sizes = []
+
+    def torus_values(self, t, theta):
+        self.sizes.append(math.prod(np.broadcast_shapes(*(np.shape(x) for x in (*t, *theta)))))
+        return self.values
+
+
+def test_points_in_flight_stay_under_the_budget(monkeypatch):
+    monkeypatch.setattr(numeric_oracle, "_CHUNK_POINTS", 600)
+    monkeypatch.setattr(numeric_oracle, "_cpus", lambda: 3)
+    w = CachedWeight(np.zeros(()))
+    numeric_oracle._grid_mean(w, (-1.0, -1.0), numeric_oracle._theta_grids(2, 64), (64, 64), CLIP_FLOOR)
+    assert sum(w.sizes) == 64**2
+    assert max(w.sizes) <= 600 // 3
+
+
+def test_clipping_writes_no_input_and_no_array_the_evaluator_keeps():
+    # a stored full-size array below the floor, and a sphere grid whose
+    # moduli-only weight returns views of the caller's radial profile
+    kept = np.full((64, 64), -2.0 * 10**6)
+    mean, clipped, _ = numeric_oracle._grid_mean(
+        CachedWeight(kept), (-1.0, -1.0), numeric_oracle._theta_grids(2, 64), (64, 64), CLIP_FLOOR)
+    assert (mean, clipped) == (CLIP_FLOOR, 64**2)
+    assert (kept == -2.0 * 10**6).all()
+    t = (np.linspace(-3.0, -1.0, 16).reshape(16, 1, 1), np.full((16, 1, 1), -1.0))
+    before = [x.copy() for x in t]
+    mean, clipped, _ = numeric_oracle._grid_mean(CoordLog(1), t, (0.0, 0.0), (16, 1, 1), -2.0)
+    assert clipped == 8 and mean == pytest.approx((-2.0 * 8 + float(t[0][8:].sum())) / 16)
+    assert all((x == y).all() for x, y in zip(t, before))
+
+
+class RaisingWeight:
+    """Fails on its first grid chunk; the other chunks are slow."""
+
+    theta_dependent = True
+    dimension = 2
+
+    def __init__(self):
+        self.calls = 0
+        self.lock = threading.Lock()
+
+    def torus_values(self, t, theta):
+        with self.lock:
+            self.calls += 1
+            first = self.calls == 1
+        if first:
+            raise RuntimeError("chunk evaluation failed")
+        time.sleep(0.05)
+        return np.zeros(np.broadcast_shapes(*(np.shape(x) for x in (*t, *theta))))
+
+
+def test_a_failing_chunk_is_the_task_error(monkeypatch):
+    monkeypatch.setattr(numeric_oracle, "_cpus", lambda: 2)
+    monkeypatch.setattr(numeric_oracle, "_CHUNK_POINTS", 64**2 // 8)  # 16 chunks of 256
+    w = RaisingWeight()
+    sched = {"levels": [-5, -10], "nodes": 64}
+    p = ProblemFile(
+        name="raising", dimension=2,
+        objects={"w": w, "phi": ExponentSet.of([(2, 0), (0, 3)])},
+        tasks=({"op": "directional_lelong_numeric", "w": "w", "a": [1, 1], "schedule": sched},
+               {"op": "newton_number", "phi": "phi"}),
+    )
+    first, second = execute(p).tasks
+    assert first["status"] == "error"
+    assert first["error"] == "RuntimeError: chunk evaluation failed"
+    assert second["status"] == "ok"
+    # the chunks not yet started when the error arrived were cancelled
+    assert w.calls <= 8
+
+
+def test_selftest_does_not_depend_on_workers(monkeypatch):
+    payload, code = run_selftest()
+    assert code == 0
+    for workers in (1, 3):
+        monkeypatch.setattr(numeric_oracle, "_cpus", lambda: workers)
+        assert json.dumps(run_selftest(), sort_keys=True) == json.dumps((payload, code), sort_keys=True)
 
 
 # ---------------------------------------------------------------------------

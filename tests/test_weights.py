@@ -1,6 +1,8 @@
 import math
+import random
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 
 from lelong.poly_geom import ExponentSet
@@ -17,6 +19,7 @@ from lelong.weights import (
     is_multicircled,
     is_psh_star,
     scaling_transform,
+    torus_values,
 )
 
 
@@ -151,6 +154,40 @@ def test_polylog_bounded_by_indicator_plus_constant():
             assert eval_expr(w, z) <= indicator_eval(S, z) + c + 1e-9
 
 
+def psh_star_probe(w, axis: int, n: int) -> bool:
+    """Oracle: is w finite at some of 3 radii x 8 angles on {z_axis = 0}?"""
+    angles = 2 * math.pi * (np.arange(8) + 0.5) / 8
+    for rho in (0.3, 0.5, 0.7):
+        t = [math.log(rho)] * n
+        t[axis - 1] = -math.inf
+        theta = []
+        for k in range(n):
+            if k == axis - 1:
+                theta.append(0.0)
+            else:
+                shape = [1] * n
+                shape[k] = 8
+                theta.append(angles.reshape(shape))
+        if np.any(np.isfinite(torus_values(w, t, theta))):
+            return True
+    return False
+
+
+def _random_tree(rng: random.Random, n: int, depth: int = 0):
+    kind = rng.choice(["poly", "coord", "negpow"] + ["max", "scale"] * (depth < 3))
+    if kind == "poly":
+        exps = {tuple(rng.randint(0, 2) for _ in range(n)) for _ in range(rng.randint(1, 3))}
+        return PolyLog.of([(complex(rng.uniform(-2, 2), rng.uniform(-2, 2)), J) for J in sorted(exps)])
+    if kind == "coord":
+        return CoordLog(rng.randint(1, n))
+    if kind == "negpow":
+        return NegPowLog(rng.randint(1, n), F(rng.randint(1, 4), 4))
+    if kind == "max":
+        return MaxOf(tuple(_random_tree(rng, n, depth + 1) for _ in range(rng.randint(1, 3))))
+    return Scale(rng.choice([F(rng.randint(1, 5), rng.randint(1, 3)), rng.uniform(0.1, 3.0)]),
+                 _random_tree(rng, n, depth + 1))
+
+
 def test_psh_star_probe():
     w = PolyLog.of([(1, (1, 1))])  # -inf on both axes
     assert not is_psh_star(w, 1, 2)
@@ -159,3 +196,30 @@ def test_psh_star_probe():
     assert is_psh_star(flat_weight(), 2, 2)
     assert is_psh_star(CoordLog(1), 2, 2)
     assert not is_psh_star(CoordLog(1), 1, 2)
+
+
+def test_psh_star_matches_probe_on_random_trees():
+    rng = random.Random(11)
+    seen = set()
+    for _ in range(400):
+        n = rng.randint(1, 3)
+        w = _random_tree(rng, n)
+        for axis in range(1, n + 1):
+            got = is_psh_star(w, axis, n)
+            assert got == psh_star_probe(w, axis, n), (w, axis)
+            seen.add(got)
+    assert seen == {True, False}
+
+
+def test_psh_star_rejects_bad_input():
+    with pytest.raises(ValueError, match="out of range"):
+        is_psh_star(CoordLog(1), 3, 2)
+
+    class Custom:
+        dimension = 2
+
+        def torus_values(self, t, theta):
+            return np.zeros(1)
+
+    with pytest.raises(TypeError, match="not a weight expression"):
+        is_psh_star(Custom(), 1)
