@@ -18,7 +18,7 @@ import os
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Any, Sequence
+from typing import Any, Callable, Sequence
 
 from . import demailly, indicator_calculus, numeric_oracle, poly_geom, weights
 from .numeric_oracle import RadialSchedule
@@ -200,49 +200,6 @@ def _require_keys(obj: dict, allowed: set[str], where: str):
         raise ProblemError(where, f"unknown keys {sorted(unknown)}; allowed: {sorted(allowed)}")
 
 
-_TASK_KEYS = {
-    "dominated_hull": {"phi"},
-    "sublevel_vertices": {"phi"},
-    "gamma_measure": {"phi"},
-    "newton_number": {"phi"},
-    "dual_face": {"phi", "t0"},
-    "directional_lelong_exact": {"u", "a"},
-    "generalized_lelong_exact": {"u", "phi"},
-    "tau": {"phi", "k"},
-    "directional_lelong_numeric": {"w", "a", "schedule"},
-    "classical_lelong_numeric": {"w", "schedule"},
-    "generalized_lelong_numeric": {"phi", "w", "schedule"},
-    "swept_measure_apply": {"phi", "w", "r", "nodes"},
-    "slice_lelong": {"w", "k", "schedule"},
-    "indicator_profile": {"w", "directions", "schedule"},
-    "scaling_transform": {"w", "m"},
-    "sandwich_check": {"u", "m_list", "degree_cap"},
-    "lelong_bounds_check": {"u", "phi", "m_list", "degree_cap", "tolerance", "schedule"},
-}
-
-# slot -> required object kind, per op ("exponent" is a monomial_weight,
-# "evaluable" is a polynomial_log or expr tree)
-_SLOT_KINDS: dict[str, dict[str, str]] = {
-    "dominated_hull": {"phi": "exponent"},
-    "sublevel_vertices": {"phi": "exponent"},
-    "gamma_measure": {"phi": "exponent"},
-    "newton_number": {"phi": "exponent"},
-    "dual_face": {"phi": "exponent"},
-    "directional_lelong_exact": {"u": "exponent"},
-    "generalized_lelong_exact": {"u": "exponent", "phi": "exponent"},
-    "tau": {"phi": "exponent"},
-    "directional_lelong_numeric": {"w": "evaluable"},
-    "classical_lelong_numeric": {"w": "evaluable"},
-    "generalized_lelong_numeric": {"phi": "exponent", "w": "evaluable"},
-    "swept_measure_apply": {"phi": "exponent", "w": "evaluable"},
-    "slice_lelong": {"w": "evaluable"},
-    "indicator_profile": {"w": "evaluable"},
-    "scaling_transform": {"w": "evaluable"},
-    "sandwich_check": {"u": "evaluable"},
-    "lelong_bounds_check": {"u": "evaluable", "phi": "exponent"},
-}
-
-
 def parse_problem(source, name: str | None = None) -> ProblemFile:
     """Read and validate a problem file (path, file object, or dict)."""
     if isinstance(source, dict):
@@ -269,9 +226,7 @@ def parse_problem(source, name: str | None = None) -> ProblemFile:
     raw_objects = data.get("objects")
     if not isinstance(raw_objects, dict):
         raise ProblemError(f"{label}.objects", "expected an object map")
-    objects = {}
-    for oname, spec in raw_objects.items():
-        objects[oname] = _parse_object(oname, spec, dim)
+    objects = {oname: _parse_object(oname, spec, dim) for oname, spec in raw_objects.items()}
     raw_tasks = data.get("tasks")
     if not isinstance(raw_tasks, list):
         raise ProblemError(f"{label}.tasks", "expected a list")
@@ -281,25 +236,20 @@ def parse_problem(source, name: str | None = None) -> ProblemFile:
         if not isinstance(task, dict):
             raise ProblemError(where, "task must be an object")
         op = task.get("op")
-        if op not in _TASK_KEYS:
+        if not isinstance(op, str) or op not in _OPS:
             raise ProblemError(f"{where}.op", f"unknown op {op!r}")
-        _require_keys(task, _TASK_KEYS[op] | {"op"}, where)
-        for slot, kind in _SLOT_KINDS[op].items():
+        slots = _OPS[op].slots
+        _require_keys(task, set(slots) | {"op"}, where)
+        for slot, kind in slots.items():
+            if kind not in _REFERENCES:
+                continue
             if slot not in task:
                 raise ProblemError(where, f"op {op!r} needs a {slot!r} reference")
             ref = task[slot]
-            if ref not in objects:
+            if not isinstance(ref, str) or ref not in objects:
                 raise ProblemError(f"{where}.{slot}", f"undefined object {ref!r}")
-            is_exponent = isinstance(objects[ref], poly_geom.ExponentSet)
-            if kind == "exponent" and not is_exponent:
-                raise ProblemError(
-                    f"{where}.{slot}", f"object {ref!r} must be a monomial_weight"
-                )
-            if kind == "evaluable" and is_exponent:
-                raise ProblemError(
-                    f"{where}.{slot}",
-                    f"object {ref!r} must be pointwise evaluable (polynomial_log or expr)",
-                )
+            if isinstance(objects[ref], poly_geom.ExponentSet) != (kind == "exponent"):
+                raise ProblemError(f"{where}.{slot}", f"object {ref!r} must be {_REFERENCES[kind]}")
         tasks.append(task)
     # a file's report names it by its base name, so report bytes do not
     # depend on where the file lives; errors above keep the path as given
@@ -311,22 +261,6 @@ def parse_problem(source, name: str | None = None) -> ProblemFile:
 # execution
 
 
-def _schedule_from(task: dict, default: RadialSchedule, where: str) -> RadialSchedule:
-    spec = task.get("schedule")
-    if spec is None:
-        return default
-    if not isinstance(spec, dict):
-        raise ProblemError(f"{where}.schedule", "expected an object")
-    _require_keys(spec, {"levels", "nodes", "extrapolation"}, f"{where}.schedule")
-    levels = spec.get("levels", list(default.levels))
-    nodes = spec.get("nodes", default.angular_nodes)
-    extrap = spec.get("extrapolation", default.extrapolation)
-    try:
-        return RadialSchedule(tuple(float(x) for x in levels), int(nodes), str(extrap))
-    except (TypeError, ValueError) as exc:
-        raise ProblemError(f"{where}.schedule", str(exc)) from None
-
-
 def _floatlike(value, where: str) -> float:
     """Accept JSON numbers and exact-rational forms in float slots."""
     if isinstance(value, bool):
@@ -334,6 +268,49 @@ def _floatlike(value, where: str) -> float:
     if isinstance(value, (int, float)):
         return float(value)
     return float(_rational(value, where))
+
+
+def _int(value, where: str) -> int:
+    """Accept JSON integers and integral exact rationals ("2", [4, 2])."""
+    q = None if isinstance(value, (bool, float)) else _rational(value, where)
+    if q is None or q.denominator != 1:
+        raise ProblemError(where, f"expected an integer, got {json.dumps(value)}")
+    return int(q)
+
+
+def _each(read):
+    """Reader of a list whose entries `read` reads."""
+    return lambda value, where: [read(x, f"{where}[{i}]") for i, x in enumerate(value)]
+
+
+def _schedule(spec, where: str, default: RadialSchedule) -> RadialSchedule:
+    if not isinstance(spec, dict):
+        raise ProblemError(where, "expected an object")
+    _require_keys(spec, {"levels", "nodes", "extrapolation"}, where)
+    nodes = _int(spec["nodes"], f"{where}.nodes") if "nodes" in spec else default.angular_nodes
+    try:
+        levels = tuple(float(x) for x in spec.get("levels", default.levels))
+        return RadialSchedule(levels, nodes, str(spec.get("extrapolation", default.extrapolation)))
+    except (TypeError, ValueError) as exc:
+        raise ProblemError(where, str(exc)) from None
+
+
+# slot kind -> reader of the slot's JSON value; "schedule" also needs the
+# run's default schedule and is bound in `execute`
+_READERS = {
+    "rationals": _each(_rational),
+    "floats": _each(_floatlike),
+    "float_rows": _each(_each(_floatlike)),
+    "float": _floatlike,
+    "int": _int,
+    "ints": _each(_int),
+}
+
+# slot kinds that name an object, with what the object must be
+_REFERENCES = {
+    "exponent": "a monomial_weight",
+    "evaluable": "pointwise evaluable (polynomial_log or expr)",
+}
 
 
 def _frac_str(x: Fraction) -> str:
@@ -344,19 +321,17 @@ def _vec_strs(v) -> list[str]:
     return [_frac_str(x) for x in v]
 
 
-def _estimate_record(est: numeric_oracle.LimitEstimate) -> dict:
+def _value_record(vv: indicator_calculus.LelongValue, _) -> dict:
+    return {"value": _frac_str(vv.value), "kind": vv.kind}
+
+
+def _estimate_record(est: numeric_oracle.LimitEstimate, _) -> dict:
     return {
         "value": est.value,
         "stderr": est.stderr,
         "levels_used": list(est.levels_used),
         "per_level": [
-            {
-                "r": lv["r"],
-                "mean": lv["mean"],
-                "ratio": lv["ratio"],
-                "clipped": lv["clipped"],
-                "rejected": lv["rejected"],
-            }
+            {k: lv[k] for k in ("r", "mean", "ratio", "clipped", "rejected")}
             for lv in est.diagnostics.get("levels", [])
         ],
         "extrapolation": est.diagnostics.get("extrapolation"),
@@ -364,14 +339,39 @@ def _estimate_record(est: numeric_oracle.LimitEstimate) -> dict:
     }
 
 
+def _hull_record(hull: poly_geom.NewtonDiagramStruct, _) -> dict:
+    return {
+        "hull_vertices": [_vec_strs(v) for v in hull.hull_vertices],
+        "bounded_faces": [
+            {"vertices": [_vec_strs(v) for v in f.vertices], "normal": _vec_strs(f.normal)}
+            for f in hull.bounded_faces
+        ],
+    }
+
+
+def _gamma_record(gm: poly_geom.GammaMeasure, _) -> dict:
+    return {
+        "atoms": [{"vertex": _vec_strs(t0), "mass": _frac_str(mass)} for t0, mass in gm.atoms],
+        "total_mass": _frac_str(gm.total_mass),
+    }
+
+
+def _profile_record(entries: tuple[numeric_oracle.ProfileEntry, ...], _) -> dict:
+    return {"profile": [
+        {
+            "direction": list(e.direction),
+            "value": None if e.estimate is None else e.estimate.value,
+            "stderr": None if e.estimate is None else e.estimate.stderr,
+            "error": e.error,
+        }
+        for e in entries
+    ]}
+
+
 def _expr_record(w) -> dict:
     if isinstance(w, weights.PolyLog):
-        return {
-            "node": "poly_log",
-            "terms": [
-                {"coeff": [c.real, c.imag], "exponent": list(J)} for c, J in w.terms
-            ],
-        }
+        terms = [{"coeff": [c.real, c.imag], "exponent": list(J)} for c, J in w.terms]
+        return {"node": "poly_log", "terms": terms}
     if isinstance(w, weights.CoordLog):
         return {"node": "coord_log", "axis": w.axis}
     if isinstance(w, weights.NegPowLog):
@@ -384,125 +384,96 @@ def _expr_record(w) -> dict:
     raise TypeError(type(w).__name__)
 
 
-def _run_task(task: dict, p: ProblemFile, default_sched: RadialSchedule,
-              default_tol: float, where: str) -> tuple[str, dict]:
-    op = task["op"]
-    obj = p.objects
+def _sandwich_record(rep: demailly.SandwichReport, _) -> dict:
+    return {
+        "c1_by_m": {str(m): v for m, v in rep.c1_by_m.items()},
+        "c2_by_m": {str(m): v for m, v in rep.c2_by_m.items()},
+    }
 
-    if op == "dominated_hull":
-        hull = poly_geom.dominated_hull(obj[task["phi"]])
-        return "ok", {
-            "hull_vertices": [_vec_strs(v) for v in hull.hull_vertices],
-            "bounded_faces": [
-                {"vertices": [_vec_strs(v) for v in f.vertices], "normal": _vec_strs(f.normal)}
-                for f in hull.bounded_faces
-            ],
-        }
-    if op == "sublevel_vertices":
-        sub = poly_geom.sublevel_vertices(obj[task["phi"]])
-        return "ok", {"extreme_points": [_vec_strs(v) for v in sub.extreme_points]}
-    if op == "gamma_measure":
-        gm = poly_geom.gamma_measure(obj[task["phi"]])
-        return "ok", {
-            "atoms": [
-                {"vertex": _vec_strs(t0), "mass": _frac_str(mass)} for t0, mass in gm.atoms
-            ],
-            "total_mass": _frac_str(gm.total_mass),
-        }
-    if op == "newton_number":
-        vv = indicator_calculus.newton_number(obj[task["phi"]])
-        return "ok", {"value": _frac_str(vv.value), "kind": vv.kind}
-    if op == "dual_face":
-        t0 = [_rational(x, f"{where}.t0[{i}]") for i, x in enumerate(task["t0"])]
-        face = poly_geom.dual_face(obj[task["phi"]], t0)
-        return "ok", {"face_vertices": [_vec_strs(v) for v in face]}
-    if op == "directional_lelong_exact":
-        a = [_rational(x, f"{where}.a[{i}]") for i, x in enumerate(task["a"])]
-        vv = indicator_calculus.directional_lelong_exact(obj[task["u"]], a)
-        return "ok", {"value": _frac_str(vv.value), "kind": vv.kind}
-    if op == "generalized_lelong_exact":
-        vv = indicator_calculus.generalized_lelong_exact(obj[task["u"]], obj[task["phi"]])
-        return "ok", {"value": _frac_str(vv.value), "kind": vv.kind}
-    if op == "tau":
-        vv = indicator_calculus.tau(obj[task["phi"]], int(task["k"]))
-        return "ok", {"value": _frac_str(vv.value), "kind": vv.kind}
-    if op == "directional_lelong_numeric":
-        sched = _schedule_from(task, default_sched, where)
-        a = [_floatlike(x, f"{where}.a[{i}]") for i, x in enumerate(task["a"])]
-        est = numeric_oracle.directional_lelong_numeric(obj[task["w"]], a, sched)
-        return "ok", _estimate_record(est)
-    if op == "classical_lelong_numeric":
-        sched = _schedule_from(task, default_sched, where)
-        est = numeric_oracle.classical_lelong_numeric(obj[task["w"]], sched, dim=p.dimension)
-        return "ok", _estimate_record(est)
-    if op == "generalized_lelong_numeric":
-        sched = _schedule_from(task, default_sched, where)
-        est = numeric_oracle.generalized_lelong_numeric(obj[task["phi"]], obj[task["w"]], sched)
-        return "ok", _estimate_record(est)
-    if op == "swept_measure_apply":
-        nodes = int(task.get("nodes", default_sched.angular_nodes))
-        r = _floatlike(task["r"], f"{where}.r")
-        val = numeric_oracle.swept_measure_apply(obj[task["phi"]], obj[task["w"]], r, nodes)
-        return "ok", {"value": val, "r": r, "nodes": nodes}
-    if op == "slice_lelong":
-        sched = _schedule_from(task, default_sched, where)
-        est = numeric_oracle.slice_lelong(obj[task["w"]], int(task["k"]), sched, dim=p.dimension)
-        return "ok", _estimate_record(est)
-    if op == "indicator_profile":
-        sched = _schedule_from(task, default_sched, where)
-        directions = [
-            [_floatlike(x, f"{where}.directions[{i}][{j}]") for j, x in enumerate(d)]
-            for i, d in enumerate(task["directions"])
-        ]
-        entries = numeric_oracle.indicator_profile(obj[task["w"]], directions, sched)
-        return "ok", {
-            "profile": [
-                {
-                    "direction": list(e.direction),
-                    "value": None if e.estimate is None else e.estimate.value,
-                    "stderr": None if e.estimate is None else e.estimate.stderr,
-                    "error": e.error,
-                }
-                for e in entries
-            ]
-        }
-    if op == "scaling_transform":
-        out = weights.scaling_transform(obj[task["w"]], int(task["m"]))
-        return "ok", {"expr": _expr_record(out)}
-    if op == "sandwich_check":
-        rep = demailly.sandwich_check(
-            obj[task["u"]], [int(m) for m in task["m_list"]],
-            task.get("degree_cap"), dim=p.dimension,
-        )
-        status = "pass" if rep.passed else "fail"
-        return status, {
-            "c1_by_m": {str(m): v for m, v in rep.c1_by_m.items()},
-            "c2_by_m": {str(m): v for m, v in rep.c2_by_m.items()},
-        }
-    if op == "lelong_bounds_check":
-        sched = _schedule_from(task, default_sched, where)
-        tol = float(task.get("tolerance", default_tol))
-        rep = demailly.lelong_bounds_check(
-            obj[task["u"]], obj[task["phi"]], [int(m) for m in task["m_list"]],
-            task.get("degree_cap"), sched=sched, tolerance=tol, dim=p.dimension,
-        )
-        status = "pass" if rep.passed else "fail"
-        return status, {
-            "exact": _frac_str(rep.exact),
-            "tau_sum": _frac_str(rep.tau_sum),
-            "estimates_by_m": {
-                str(m): {
-                    "estimate": rec["estimate"],
-                    "stderr": rec["stderr"],
-                    "lower_ok": rec["lower_ok"],
-                    "upper_ok": rec["upper_ok"],
-                    "admissible": rec["admissible"],
-                }
-                for m, rec in rep.estimates_by_m.items()
-            },
-            "tolerance": tol,
-        }
-    raise AssertionError(f"unhandled op {op}")
+
+def _bounds_record(rep: demailly.LelongBoundsReport, args: dict) -> dict:
+    keep = ("estimate", "stderr", "lower_ok", "upper_ok", "admissible")
+    return {
+        "exact": _frac_str(rep.exact),
+        "tau_sum": _frac_str(rep.tau_sum),
+        "estimates_by_m": {
+            str(m): {k: rec[k] for k in keep} for m, rec in rep.estimates_by_m.items()
+        },
+        "tolerance": args["tolerance"],
+    }
+
+
+@dataclass(frozen=True)
+class _Op:
+    """An op: the function of its name in `module`, called on its slots in order.
+
+    The function is looked up per task, so a wrapper set on the module
+    attribute (as by `bench/tracer.py`) sees the call.  A `_REFERENCES`
+    slot names an object; any other slot is read by its kind's reader.
+    `record` maps the result and the slot values to the task's result; a
+    result with a `passed` flag gives the status pass or fail, others ok.
+    """
+
+    module: Any
+    slots: dict[str, str]
+    record: Callable[[Any, dict], dict]
+    takes_dim: bool = False
+
+
+_PHI, _W, _SCHED = {"phi": "exponent"}, {"w": "evaluable"}, {"schedule": "schedule"}
+
+# the one list of ops: parsing, execution and the README's op table follow it
+_OPS: dict[str, _Op] = {
+    "dominated_hull": _Op(poly_geom, _PHI, _hull_record),
+    "sublevel_vertices": _Op(
+        poly_geom, _PHI, lambda sub, _: {"extreme_points": [_vec_strs(v) for v in sub.extreme_points]}
+    ),
+    "gamma_measure": _Op(poly_geom, _PHI, _gamma_record),
+    "newton_number": _Op(indicator_calculus, _PHI, _value_record),
+    "dual_face": _Op(poly_geom, {**_PHI, "t0": "rationals"},
+                     lambda face, _: {"face_vertices": [_vec_strs(v) for v in face]}),
+    "directional_lelong_exact": _Op(indicator_calculus, {"u": "exponent", "a": "rationals"},
+                                    _value_record),
+    "generalized_lelong_exact": _Op(indicator_calculus, {"u": "exponent", **_PHI}, _value_record),
+    "tau": _Op(indicator_calculus, {**_PHI, "k": "int"}, _value_record),
+    "directional_lelong_numeric": _Op(numeric_oracle, {**_W, "a": "floats", **_SCHED},
+                                      _estimate_record),
+    "classical_lelong_numeric": _Op(numeric_oracle, {**_W, **_SCHED}, _estimate_record,
+                                    takes_dim=True),
+    "generalized_lelong_numeric": _Op(numeric_oracle, {**_PHI, **_W, **_SCHED}, _estimate_record),
+    "swept_measure_apply": _Op(numeric_oracle, {**_PHI, **_W, "r": "float", "nodes": "int"},
+                               lambda v, args: {"value": v, "r": args["r"], "nodes": args["nodes"]}),
+    "slice_lelong": _Op(numeric_oracle, {**_W, "k": "int", **_SCHED}, _estimate_record,
+                        takes_dim=True),
+    "indicator_profile": _Op(numeric_oracle, {**_W, "directions": "float_rows", **_SCHED},
+                             _profile_record),
+    "scaling_transform": _Op(weights, {**_W, "m": "int"},
+                             lambda out, _: {"expr": _expr_record(out)}),
+    "sandwich_check": _Op(demailly, {"u": "evaluable", "m_list": "ints", "degree_cap": "int"},
+                          _sandwich_record, takes_dim=True),
+    "lelong_bounds_check": _Op(
+        demailly, {"u": "evaluable", **_PHI, "m_list": "ints", "degree_cap": "int", **_SCHED,
+                   "tolerance": "float"},
+        _bounds_record, takes_dim=True,
+    ),
+}
+
+
+def _run_task(task: dict, p: ProblemFile, defaults: dict, readers: dict,
+              where: str) -> tuple[str, dict]:
+    op = _OPS[task["op"]]
+    args = {}
+    for slot, kind in op.slots.items():
+        if kind in _REFERENCES:
+            args[slot] = p.objects[task[slot]]
+        elif task.get(slot) is None and slot in defaults:
+            args[slot] = defaults[slot]
+        else:
+            args[slot] = readers[kind](task[slot], f"{where}.{slot}")
+    fn = getattr(op.module, task["op"])
+    out = fn(*args.values(), **({"dim": p.dimension} if op.takes_dim else {}))
+    status = "ok" if not hasattr(out, "passed") else "pass" if out.passed else "fail"
+    return status, op.record(out, args)
 
 
 def execute(p: ProblemFile, default_sched: RadialSchedule = numeric_oracle.DEFAULT_SCHEDULE,
@@ -521,11 +492,15 @@ def execute(p: ProblemFile, default_sched: RadialSchedule = numeric_oracle.DEFAU
             "clip_floor": numeric_oracle.CLIP_FLOOR,
         },
     )
+    # an optional slot that is absent or null takes the run's default
+    defaults = {"schedule": default_sched, "nodes": default_sched.angular_nodes,
+                "tolerance": default_tol, "degree_cap": None}
+    readers = {**_READERS, "schedule": lambda spec, w: _schedule(spec, w, default_sched)}
     for i, task in enumerate(p.tasks):
         where = f"tasks[{i}]"
         record = {"index": i, "op": task["op"], "inputs": _echo(task)}
         try:
-            status, result = _run_task(task, p, default_sched, default_tol, where)
+            status, result = _run_task(task, p, defaults, readers, where)
             record["status"] = status
             record["result"] = result
         except Exception as exc:  # isolate per task

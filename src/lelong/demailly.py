@@ -129,6 +129,8 @@ def basis_norms(u, m: int, degree_cap: int | None = None, dim: int | None = None
     """
     if m < 1:
         raise ValueError("m must be a positive integer")
+    if degree_cap is not None and degree_cap < 0:
+        raise ValueError("degree_cap must be nonnegative")
     if not is_multicircled(u):
         raise ValueError("basis norms need a torus-invariant weight")
     n = dim if dim is not None else dimension_of(u)

@@ -10,7 +10,7 @@ independent of evaluation order.  Two kernels carry the module:
     and Prodon (1996), which turns {x : <r, x> <= 0} into its extreme
     rays and their active rows.
 
-Vertex enumeration runs the double description on the homogenized
+`poly_geom` runs the double description on the homogenized sublevel
 polyhedron; convex hulls run it on the cone of valid inequalities and
 are triangulated recursively into simplices.
 """
@@ -136,20 +136,6 @@ def double_description(rows: Sequence[Sequence], d: int) -> list[tuple[tuple[int
 def _primitive(ray: list[int]) -> list[int]:
     g = math.gcd(*ray)
     return [x // g for x in ray]
-
-
-def enumerate_vertices(constraints: Sequence[Constraint], n: int) -> list[Vec]:
-    """All vertices of {x : <a_i, x> <= b_i}, by double description.
-
-    The homogenized cone {(x, lam) : <a_i, x> <= b_i lam, lam >= 0} has the
-    rays (v, 1) for the vertices v and (r, 0) for the extreme rays of the
-    recession cone.  A polyhedron that contains a line has no vertex, and
-    its cone is not pointed.
-    """
-    rows = [list(vec(a)) + [-frac(b)] for a, b in constraints]
-    rows.append([0] * n + [-1])
-    rays = double_description(rows, n + 1)
-    return sorted(tuple(Fraction(x, ray[n]) for x in ray[:n]) for ray, _ in rays if ray[n] > 0)
 
 
 def _affine_coordinates(points: Sequence[Vec]) -> tuple[list[Vec], int]:

@@ -254,24 +254,24 @@ def _grid_mean(w, t, theta, shape, floor: float):
     return mean, sum(c for c, _ in results), total
 
 
-def _torus_stats(w, t: Sequence[float], nodes: int, floor: float = CLIP_FLOOR):
+def _torus_stats(w, t: Sequence[float], nodes: int):
     n = len(t)
     t = tuple(float(x) for x in t)
     if depends_on_theta(w):
         _check_grid((nodes,) * n)
-        return _grid_mean(w, t, _theta_grids(n, nodes), (nodes,) * n, floor)
+        return _grid_mean(w, t, _theta_grids(n, nodes), (nodes,) * n, CLIP_FLOOR)
     # theta-independent weight: one node represents the whole torus
     val = float(torus_values(w, t, tuple(0.0 for _ in t)))
     total = nodes**n
-    if val < floor:
-        return floor, total, total
+    if val < CLIP_FLOOR:
+        return CLIP_FLOOR, total, total
     return val, 0, total
 
 
-def torus_mean(w, t: Sequence[float], nodes: int, floor: float = CLIP_FLOOR) -> float:
+def torus_mean(w, t: Sequence[float], nodes: int) -> float:
     """Mean of w over the torus |z_k| = exp(t_k), equispaced tensor quadrature.
 
-    Values below `floor` (including -inf) are clipped at `floor`; the
+    Values below CLIP_FLOOR (including -inf) are clipped at CLIP_FLOOR; the
     log-singularities this tames are integrable, so the bias is below
     the schedule tolerances at 64+ nodes per angle.
     """
@@ -279,7 +279,7 @@ def torus_mean(w, t: Sequence[float], nodes: int, floor: float = CLIP_FLOOR) -> 
         raise ValueError("torus radii must satisfy t_k < 0")
     if nodes < 64:
         raise ValueError("nodes must be at least 64")
-    mean, _, _ = _torus_stats(w, t, nodes, floor)
+    mean, _, _ = _torus_stats(w, t, nodes)
     return mean
 
 
@@ -315,8 +315,7 @@ def _equal_area_log_profiles(n: int, radial_nodes: int) -> list[np.ndarray]:
     raise ValueError("sphere means are implemented for dimensions 1..3 only")
 
 
-def _sphere_stats(w, r: float, nodes: int, dim: int, radial_nodes: int | None = None,
-                  floor: float = CLIP_FLOOR):
+def _sphere_stats(w, r: float, nodes: int, dim: int, radial_nodes: int | None = None):
     if r >= 0:
         raise ValueError("radius exponent must be negative")
     n = dim
@@ -330,13 +329,12 @@ def _sphere_stats(w, r: float, nodes: int, dim: int, radial_nodes: int | None = 
     else:
         theta = (0.0,) * n
     shape = np.broadcast_shapes(*(np.shape(x) for x in t + tuple(theta)))
-    return _grid_mean(w, t, theta, shape, floor)
+    return _grid_mean(w, t, theta, shape, CLIP_FLOOR)
 
 
-def sphere_mean(w, r: float, nodes: int, dim: int, radial_nodes: int | None = None,
-                floor: float = CLIP_FLOOR) -> float:
+def sphere_mean(w, r: float, nodes: int, dim: int, radial_nodes: int | None = None) -> float:
     """Mean of w over the sphere |z| = exp(r) in C^dim (uniform measure)."""
-    mean, _, _ = _sphere_stats(w, r, nodes, dim, radial_nodes, floor)
+    mean, _, _ = _sphere_stats(w, r, nodes, dim, radial_nodes)
     return mean
 
 

@@ -3,12 +3,14 @@
 Lasserre's recursion measures an H-polytope without enumerating a single
 vertex, so its complement volume checks the atom masses of
 `gamma_measure`, which come from vertices and triangulated cones.
+`enumerate_vertices` gives the vertices of an H-polytope, whose
+triangulated volume the recursion checks in turn.
 """
 
 from fractions import Fraction
 from typing import Sequence
 
-from lelong.exactgeom import Constraint, Vec, eliminate, frac, vec
+from lelong.exactgeom import Constraint, Vec, double_description, eliminate, frac, vec
 from lelong.poly_geom import ExponentSet, sublevel_vertices
 
 
@@ -19,6 +21,20 @@ def solve(rows: Sequence[Sequence], rhs: Sequence) -> Vec | None:
     if pivots[:n] != list(range(n)):
         return None
     return tuple(Fraction(m[k][n], m[k][k]) for k in range(n))
+
+
+def enumerate_vertices(constraints: Sequence[Constraint], n: int) -> list[Vec]:
+    """All vertices of {x : <a_i, x> <= b_i}, by double description.
+
+    The homogenized cone {(x, lam) : <a_i, x> <= b_i lam, lam >= 0} has the
+    rays (v, 1) for the vertices v and (r, 0) for the extreme rays of the
+    recession cone.  A polyhedron that contains a line has no vertex, and
+    its cone is not pointed.
+    """
+    rows = [list(vec(a)) + [-frac(b)] for a, b in constraints]
+    rows.append([0] * n + [-1])
+    rays = double_description(rows, n + 1)
+    return sorted(tuple(Fraction(x, ray[n]) for x in ray[:n]) for ray, _ in rays if ray[n] > 0)
 
 
 def _normalize_constraint(a, b: Fraction) -> Constraint:

@@ -4,14 +4,13 @@ from fractions import Fraction as F
 import pytest
 
 from lelong.exactgeom import (
-    enumerate_vertices,
     frac,
     polytope_volume,
     simplex_volume,
     triangulate,
     vec,
 )
-from exact_oracles import hpolytope_volume, solve
+from exact_oracles import enumerate_vertices, hpolytope_volume, solve
 
 
 def test_solve_square_basic():
