@@ -18,11 +18,9 @@ from .demailly import (
     um_eval,
 )
 from .indicator_calculus import (
-    Indicator,
     LelongValue,
     directional_lelong_exact,
     generalized_lelong_exact,
-    indicator_eval,
     newton_number,
     tau,
 )
@@ -76,7 +74,6 @@ __all__ = [
     "DegenerateIndicatorError",
     "ExponentSet",
     "GammaMeasure",
-    "Indicator",
     "LelongBoundsReport",
     "LelongValue",
     "LimitEstimate",
@@ -103,7 +100,6 @@ __all__ = [
     "gamma_measure",
     "generalized_lelong_exact",
     "generalized_lelong_numeric",
-    "indicator_eval",
     "indicator_profile",
     "indicator_support",
     "is_multicircled",

@@ -279,8 +279,14 @@ def _int(value, where: str) -> int:
 
 
 def _each(read):
-    """Reader of a list whose entries `read` reads."""
-    return lambda value, where: [read(x, f"{where}[{i}]") for i, x in enumerate(value)]
+    """Reader of a JSON list whose entries `read` reads."""
+
+    def each(value, where: str) -> list:
+        if not isinstance(value, list):
+            raise ProblemError(where, f"expected a list, got {json.dumps(value)}")
+        return [read(x, f"{where}[{i}]") for i, x in enumerate(value)]
+
+    return each
 
 
 def _schedule(spec, where: str, default: RadialSchedule) -> RadialSchedule:
@@ -288,8 +294,10 @@ def _schedule(spec, where: str, default: RadialSchedule) -> RadialSchedule:
         raise ProblemError(where, "expected an object")
     _require_keys(spec, {"levels", "nodes", "extrapolation"}, where)
     nodes = _int(spec["nodes"], f"{where}.nodes") if "nodes" in spec else default.angular_nodes
+    levels = default.levels
+    if "levels" in spec:
+        levels = tuple(_each(_floatlike)(spec["levels"], f"{where}.levels"))
     try:
-        levels = tuple(float(x) for x in spec.get("levels", default.levels))
         return RadialSchedule(levels, nodes, str(spec.get("extrapolation", default.extrapolation)))
     except (TypeError, ValueError) as exc:
         raise ProblemError(where, str(exc)) from None

@@ -40,7 +40,7 @@ from .numeric_oracle import (
     generalized_lelong_numeric,
 )
 from .poly_geom import ExponentSet
-from .weights import CoordLog, MaxOf, PolyLog, Scale
+from .weights import CoordLog, MaxOf, PolyLog, Scale, _log_rows, _peak_shift
 from .weights import dimension_of, eval_expr, indicator_support, is_multicircled, torus_values
 
 __all__ = [
@@ -81,34 +81,25 @@ class ApproxBasis:
 
     def _log_terms(self, t) -> np.ndarray:
         """log(|z^alpha|^2 / c_alpha) at log-moduli t, one entry per leading index."""
-        ts = [np.asarray(x, dtype=float) for x in t]
-        lead = (-1,) + (1,) * len(np.broadcast_shapes(*(x.shape for x in ts)))
-        g = 0.0
-        with np.errstate(invalid="ignore"):
-            for k, tk in enumerate(ts):
-                a = self.exponents[:, k].reshape(lead)
-                g = g + np.where(a != 0, 2.0 * a * tk, 0.0)  # so that 0 * (-inf) never appears
-        return self.neg_log_c.reshape(lead) + g
+        return _log_rows(self.neg_log_c, 2.0 * self.exponents, t)
 
     def cap_contribution(self, t) -> float:
-        """Share of the degree-cap entries in the sum at log-radii t.
+        """Share of the degree-cap entries in the sum at the point t of log-radii.
 
         The cap truncates the true basis; probes are trustworthy where
-        this fraction is negligible (default radii keep it < 1e-10).
+        this fraction is negligible (default radii keep it < 1e-10).  It
+        is 0 where the sum is empty: for an empty basis, or where every
+        entry vanishes.
         """
-        if not self.entries:
-            return 0.0
-        g = self._log_terms(t)
-        w = np.exp(g - g.max())
+        w = _peak_shift(self._log_terms(t))[1]
         at_cap = self.exponents.max(axis=1) == self.degree_cap
-        return float(w[at_cap].sum() / w.sum())
+        total = w.sum()
+        return float(w[at_cap].sum() / total) if total else 0.0
 
     def torus_values(self, t, theta):
-        g = self._log_terms(t)
-        peak = g.max(axis=0, initial=-np.inf)
-        shift = np.where(peak == -np.inf, 0.0, peak)
+        peak, w = _peak_shift(self._log_terms(t))
         with np.errstate(divide="ignore"):
-            return (shift + np.log(np.exp(g - shift).sum(axis=0))) / (2.0 * self.m)
+            return (peak + np.log(w.sum(axis=0))) / (2.0 * self.m)
 
 
 def um_eval(basis: ApproxBasis, z: Sequence[complex]) -> float:

@@ -1,8 +1,7 @@
 """Exact Lelong-number calculus on piecewise-linear indicators.
 
 An indicator here is the function y -> max_J <J, log|y|> on the unit
-polydisk, canonically represented by its generating exponent set reduced
-to the vertices of the associated Newton polyhedron.  Directional
+polydisk, given by its generating exponent set.  Directional
 densities are exact minima of linear forms, and generalized densities
 against a second (weight) exponent set are atom sums against the
 boundary measure of the weight's sublevel polyhedron.
@@ -16,12 +15,10 @@ from fractions import Fraction
 from typing import Sequence
 
 from .exactgeom import frac, vec
-from .poly_geom import ExponentSet, dominated_hull, gamma_measure
+from .poly_geom import ExponentSet, gamma_measure
 
 __all__ = [
-    "Indicator",
     "LelongValue",
-    "indicator_eval",
     "directional_lelong_exact",
     "generalized_lelong_exact",
     "newton_number",
@@ -44,48 +41,6 @@ class LelongValue:
 
     def __float__(self) -> float:
         return float(self.value)
-
-
-@dataclass(frozen=True)
-class Indicator:
-    """Canonical form: generators reduced to hull vertices.
-
-    Two indicators are equal iff their reduced generator sets are equal.
-    """
-
-    generators: ExponentSet
-
-    @classmethod
-    def of(cls, points, dimension: int | None = None) -> "Indicator":
-        raw = ExponentSet.of(points, dimension)
-        hull = dominated_hull(raw).hull_vertices
-        return cls(ExponentSet.of(hull))
-
-
-def indicator_eval(phi: Indicator | ExponentSet, y: Sequence[complex]) -> float:
-    """max over generators J of <J, log|y|>, for y in the unit polydisk.
-
-    A coordinate y_k = 0 contributes -inf only to generators with a
-    positive k-th entry; the result is -inf when every generator is
-    killed that way.
-    """
-    S = phi.generators if isinstance(phi, Indicator) else phi
-    if len(y) != S.dimension:
-        raise ValueError(f"point has dimension {len(y)}, indicator has {S.dimension}")
-    logs = []
-    for yk in y:
-        m = abs(yk)
-        if m >= 1:
-            raise ValueError(f"point outside the open unit polydisk: |{yk}| >= 1")
-        logs.append(math.log(m) if m > 0 else -math.inf)
-    best = -math.inf
-    for J in S.points:
-        term = 0.0
-        for Jk, lk in zip(J, logs):
-            if Jk:
-                term += float(Jk) * lk
-        best = max(best, term)
-    return best
 
 
 def directional_lelong_exact(S_u: ExponentSet, a: Sequence) -> LelongValue:

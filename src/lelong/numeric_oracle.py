@@ -4,7 +4,10 @@ Estimates the defining limits of classical, directional and generalized
 Lelong densities by torus and sphere means over a schedule of shrinking
 radii, applies the atomic boundary measure to arbitrary evaluable
 weights, and measures the one-variable mass of a weight restricted to a
-coordinate hyperplane.
+coordinate hyperplane.  Every torus, sphere and slice mean goes through
+one reduction, `_grid_mean`, which also enforces MAX_GRID_POINTS; the
+swept-measure value and each level of the generalized estimate are one
+atom sum, `_swept_stats`.
 
 Determinism contract: fixed node grids and an exact sum, so identical
 inputs produce bitwise-identical outputs.  A grid is evaluated in chunks,
@@ -141,14 +144,6 @@ def _theta_grids(n: int, nodes: int, ndim: int | None = None) -> list[np.ndarray
     return grids
 
 
-def _check_grid(shape) -> None:
-    size = math.prod(shape)
-    if size > MAX_GRID_POINTS:
-        raise ValueError(
-            f"quadrature grid of {size} points exceeds the limit of {MAX_GRID_POINTS}"
-        )
-
-
 def _exact_parts(x: np.ndarray) -> list[float]:
     """Floats whose math.fsum equals math.fsum(x), for at most 2^26 values.
 
@@ -214,6 +209,11 @@ def _cpus() -> int:
 def _grid_mean(w, t, theta, shape, floor: float):
     """(mean, clipped, total) of w clipped at floor over the broadcast grid.
 
+    A grid of more than MAX_GRID_POINTS points raises ValueError before
+    anything is evaluated.  theta may be a function of no arguments that
+    gives the angle arrays; it is called only for a grid under the cap,
+    so that an oversized grid allocates nothing.
+
     Evaluates the grid in chunks on min(CPUs, ceil(points /
     _CHUNK_POINTS)) threads, each chunk of at most _CHUNK_POINTS //
     threads points, so that at most _CHUNK_POINTS points are in flight;
@@ -224,6 +224,10 @@ def _grid_mean(w, t, theta, shape, floor: float):
     a chunk cancels the chunks not yet started and re-raises here.
     """
     total = math.prod(shape)
+    if total > MAX_GRID_POINTS:
+        raise ValueError(f"quadrature grid of {total} points exceeds the limit of {MAX_GRID_POINTS}")
+    if callable(theta):
+        theta = theta()
     workers = min(_cpus(), -(-total // _CHUNK_POINTS))
 
     def chunk(box):
@@ -258,8 +262,7 @@ def _torus_stats(w, t: Sequence[float], nodes: int):
     n = len(t)
     t = tuple(float(x) for x in t)
     if depends_on_theta(w):
-        _check_grid((nodes,) * n)
-        return _grid_mean(w, t, _theta_grids(n, nodes), (nodes,) * n, CLIP_FLOOR)
+        return _grid_mean(w, t, lambda: _theta_grids(n, nodes), (nodes,) * n, CLIP_FLOOR)
     # theta-independent weight: one node represents the whole torus
     val = float(torus_values(w, t, tuple(0.0 for _ in t)))
     total = nodes**n
@@ -322,14 +325,12 @@ def _sphere_stats(w, r: float, nodes: int, dim: int, radial_nodes: int | None = 
     if radial_nodes is None:
         radial_nodes = 64 if n == 2 else 16
     profiles = _equal_area_log_profiles(n, radial_nodes)
-    _check_grid((radial_nodes,) * (n - 1) + ((nodes,) * n if depends_on_theta(w) else ()))
     t = tuple(r + p for p in profiles)
     if depends_on_theta(w):
-        theta = _theta_grids(n, nodes, profiles[0].ndim)
-    else:
-        theta = (0.0,) * n
-    shape = np.broadcast_shapes(*(np.shape(x) for x in t + tuple(theta)))
-    return _grid_mean(w, t, theta, shape, CLIP_FLOOR)
+        # the radial axes, then one angle axis per coordinate
+        return _grid_mean(w, t, lambda: _theta_grids(n, nodes, profiles[0].ndim),
+                          profiles[0].shape[:-n] + (nodes,) * n, CLIP_FLOOR)
+    return _grid_mean(w, t, (0.0,) * n, profiles[0].shape, CLIP_FLOOR)
 
 
 def sphere_mean(w, r: float, nodes: int, dim: int, radial_nodes: int | None = None) -> float:
@@ -432,6 +433,28 @@ def _atom_radii(t0, r: float) -> tuple[float, ...]:
     return tuple(abs(r) * float(x) for x in t0)
 
 
+def _swept_stats(gm, w, r: float, nodes: int):
+    """(n! * sum of mass * mean, clipped, total) over the atoms of gm.
+
+    Each atom t0 contributes the torus mean of w at radii |r| * t0.
+    Every atom is checked against the coordinate walls, and then nodes,
+    before any mean is taken.
+    """
+    radii = [_atom_radii(t0, r) for t0, _ in gm.atoms]
+    if nodes < 64:
+        raise ValueError("nodes must be at least 64")
+    total = 0.0
+    clipped = 0
+    count = 0
+    for t, (_, mass) in zip(radii, gm.atoms):
+        mean, c, tot = _torus_stats(w, t, nodes)
+        total += mean * float(mass)
+        clipped += c
+        count += tot
+    n = len(radii[0]) if radii else 0  # without atoms the sum is 0 in any dimension
+    return math.factorial(n) * total, clipped, count
+
+
 def swept_measure_apply(S_phi: ExponentSet, w, r: float, nodes: int) -> float:
     """Apply the level-r boundary measure of the weight to w.
 
@@ -440,30 +463,16 @@ def swept_measure_apply(S_phi: ExponentSet, w, r: float, nodes: int) -> float:
     """
     if r >= 0:
         raise ValueError("level must be negative")
-    gm = gamma_measure(S_phi)
-    n = S_phi.dimension
-    total = 0.0
-    for t0, mass in gm.atoms:
-        total += torus_mean(w, _atom_radii(t0, r), nodes) * float(mass)
-    return math.factorial(n) * total
+    return _swept_stats(gamma_measure(S_phi), w, r, nodes)[0]
 
 
 def generalized_lelong_numeric(S_phi: ExponentSet, w, sched: RadialSchedule = DEFAULT_SCHEDULE) -> LimitEstimate:
     """Estimate the density of w against the weight by swept means over the schedule."""
     gm = gamma_measure(S_phi)
-    n = S_phi.dimension
-    fact = math.factorial(n)
 
     def level(r):
-        total = 0.0
-        clipped = 0
-        count = 0
-        for t0, mass in gm.atoms:
-            mean, c, tot = _torus_stats(w, _atom_radii(t0, r), sched.angular_nodes)
-            total += mean * float(mass)
-            clipped += c
-            count += tot
-        return fact * total, clipped, max(count, 1)
+        mean, clipped, count = _swept_stats(gm, w, r, sched.angular_nodes)
+        return mean, clipped, max(count, 1)
 
     return _sweep_levels(level, sched, "swept-measure probe")
 
@@ -480,10 +489,11 @@ def slice_lelong(w, axis: int, sched: RadialSchedule = DEFAULT_SCHEDULE, dim: in
     if axis not in (1, 2):
         raise ValueError("axis must be 1 or 2")
     other = 2 - (axis - 1) - 1  # 0-based index of the surviving variable
-    _check_grid((sched.angular_nodes,))
 
-    theta = [0.0, 0.0]
-    theta[other] = _theta_grids(1, sched.angular_nodes)[0]
+    def theta():
+        angles = [0.0, 0.0]
+        angles[other] = _theta_grids(1, sched.angular_nodes)[0]
+        return angles
 
     def level(r):
         t = [0.0, 0.0]

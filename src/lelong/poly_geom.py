@@ -22,7 +22,6 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .exactgeom import (
-    Constraint,
     Vec,
     dot,
     double_description,
@@ -114,9 +113,7 @@ class NewtonDiagramStruct:
 
 @dataclass(frozen=True)
 class SublevelPolyhedron:
-    constraints: tuple[Constraint, ...]
     extreme_points: tuple[Vec, ...]
-    level_set_descriptor: str
 
 
 @dataclass(frozen=True)
@@ -166,19 +163,11 @@ def sublevel_vertices(S: ExponentSet) -> SublevelPolyhedron:
     feasible vertex must have at least one generator constraint active,
     which pins the max at exactly -1.
     """
-    n = S.dimension
     _check_axes(S)
     verts = tuple(t0 for t0, _ in _diagram(S)[0])
     for t0 in verts:
         assert S.support_value(t0) == -1, f"vertex {t0} off the level set"
-    cons: list[Constraint] = [(p, Fraction(-1)) for p in S.points]
-    for k in range(n):
-        cons.append((tuple(Fraction(int(i == k)) for i in range(n)), Fraction(0)))
-    return SublevelPolyhedron(
-        constraints=tuple(cons),
-        extreme_points=verts,
-        level_set_descriptor="{t in R_-^n : max_J <J,t> = -1}",
-    )
+    return SublevelPolyhedron(extreme_points=verts)
 
 
 def dominated_hull(S: ExponentSet) -> NewtonDiagramStruct:

@@ -8,7 +8,11 @@ stable at arbitrarily deep radii and makes a value of -inf an ordinary
 outcome rather than an overflow.
 
 `torus_values` accepts broadcastable numpy arrays for both t and theta,
-so a single call evaluates a whole quadrature grid.
+so a single call evaluates a whole quadrature grid.  Polynomial moduli
+and the Bergman approximants of `demailly` are both log-sum-exps over
+exponent rows, and share one kernel: `_log_rows` stacks the row
+log-amplitudes log|c_j| + <J_j, t> and `_peak_shift` scales them by
+their peak.
 """
 
 from __future__ import annotations
@@ -154,32 +158,52 @@ def torus_values(w, t: Sequence, theta: Sequence) -> np.ndarray:
     raise TypeError(f"not a weight expression: {type(w).__name__}")
 
 
+def _log_rows(log_c: np.ndarray, exponents: np.ndarray, t) -> np.ndarray:
+    """Row log-amplitudes log|c_j| + <J_j, t>, stacked on a leading axis.
+
+    exponents holds one row J_j per entry of log_c.  Zero exponents
+    contribute 0, so 0 * (-inf) never appears, and an axis that no row
+    uses does not enter the shape.
+    """
+    ts = [np.asarray(x, dtype=float) for x in t]
+    lead = (-1,) + (1,) * max((x.ndim for x in ts), default=0)
+    g = 0.0
+    with np.errstate(invalid="ignore"):
+        for a, tk in zip(exponents.T, ts):
+            if a.any():
+                a = a.reshape(lead)
+                g = g + np.where(a != 0, a * tk, 0.0)
+    return log_c.reshape(lead) + g
+
+
+def _peak_shift(g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(peak, exp(g - peak)) over the leading axis of g.
+
+    peak is an array (0-d for scalar points), -inf where every row is,
+    and there the shifted terms are all 0.
+    """
+    peak = np.asarray(g.max(axis=0, initial=_NEG_INF))
+    with np.errstate(invalid="ignore"):
+        return peak, np.exp(np.where(peak == _NEG_INF, _NEG_INF, g - peak))
+
+
 def _polylog_values(w: PolyLog, t, theta) -> np.ndarray:
     """log|sum_J c_J z^J| as peak + log|sum_J a_J (c_J/|c_J|) prod_k e^(i J_k theta_k)|.
 
     The amplitudes a_J = exp(<J, t> + log|c_J| - peak) depend on t only.
     Each phase is a product of per-axis factors, so every complex exp
     runs on one theta array; the grid-sized work per term is the last
-    multiply and the add.  Zero exponents are skipped, so 0 * (-inf)
-    never appears.
+    multiply and the add.
     """
-    logamps = []
-    for c, J in w.terms:
-        amp = None
-        for k, Jk in enumerate(J):
-            if Jk:
-                term = Jk * np.asarray(t[k], dtype=float)
-                amp = term if amp is None else amp + term
-        la = math.log(abs(c))
-        logamps.append(la if amp is None else la + amp)
-    peak = logamps[0]
-    for la in logamps[1:]:
-        peak = np.maximum(peak, la)
-    peak = np.asarray(peak, dtype=float)
-    with np.errstate(invalid="ignore", divide="ignore"):
+    log_c = np.array([math.log(abs(c)) for c, _ in w.terms])
+    peak, amps = _peak_shift(_log_rows(log_c, np.array([J for _, J in w.terms], dtype=float), t))
+    amps = amps * np.array([c / abs(c) for c, _ in w.terms]).reshape((-1,) + (1,) * peak.ndim)
+    with np.errstate(divide="ignore"):
         acc = None
-        for (c, J), la in zip(w.terms, logamps):
-            contrib = np.exp(np.where(peak == _NEG_INF, _NEG_INF, la - peak)) * (c / abs(c))
+        for j, (_, J) in enumerate(w.terms):
+            # an array, 0-d at a scalar point: with a numpy scalar on the left
+            # the grid-sized products below take several times the page faults
+            contrib = amps[j, ...]
             for k, Jk in enumerate(J):
                 if Jk:
                     contrib = contrib * np.exp(1j * (Jk * np.asarray(theta[k], dtype=float)))

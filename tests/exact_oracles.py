@@ -4,14 +4,18 @@ Lasserre's recursion measures an H-polytope without enumerating a single
 vertex, so its complement volume checks the atom masses of
 `gamma_measure`, which come from vertices and triangulated cones.
 `enumerate_vertices` gives the vertices of an H-polytope, whose
-triangulated volume the recursion checks in turn.
+triangulated volume the recursion checks in turn.  `indicator_eval`
+evaluates an indicator max_J <J, log|y|> pointwise in pure Python, apart
+from the numeric weight evaluation it checks.
 """
 
+import math
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
 from lelong.exactgeom import Constraint, Vec, double_description, eliminate, frac, vec
-from lelong.poly_geom import ExponentSet, sublevel_vertices
+from lelong.poly_geom import ExponentSet, dominated_hull, sublevel_vertices
 
 
 def solve(rows: Sequence[Sequence], rhs: Sequence) -> Vec | None:
@@ -108,3 +112,45 @@ def complement_volume(S: ExponentSet) -> Fraction:
         cons.append((ne, Fraction(0)))
     inside = hpolytope_volume(cons, n)
     return M**n - inside
+
+
+@dataclass(frozen=True)
+class Indicator:
+    """Canonical form: generators reduced to hull vertices.
+
+    Two indicators are equal iff their reduced generator sets are equal.
+    """
+
+    generators: ExponentSet
+
+    @classmethod
+    def of(cls, points, dimension: int | None = None) -> "Indicator":
+        raw = ExponentSet.of(points, dimension)
+        hull = dominated_hull(raw).hull_vertices
+        return cls(ExponentSet.of(hull))
+
+
+def indicator_eval(phi: Indicator | ExponentSet, y: Sequence[complex]) -> float:
+    """max over generators J of <J, log|y|>, for y in the unit polydisk.
+
+    A coordinate y_k = 0 contributes -inf only to generators with a
+    positive k-th entry; the result is -inf when every generator is
+    killed that way.
+    """
+    S = phi.generators if isinstance(phi, Indicator) else phi
+    if len(y) != S.dimension:
+        raise ValueError(f"point has dimension {len(y)}, indicator has {S.dimension}")
+    logs = []
+    for yk in y:
+        m = abs(yk)
+        if m >= 1:
+            raise ValueError(f"point outside the open unit polydisk: |{yk}| >= 1")
+        logs.append(math.log(m) if m > 0 else -math.inf)
+    best = -math.inf
+    for J in S.points:
+        term = 0.0
+        for Jk, lk in zip(J, logs):
+            if Jk:
+                term += float(Jk) * lk
+        best = max(best, term)
+    return best

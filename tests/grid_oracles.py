@@ -4,7 +4,9 @@ Each mean builds its full grid at once, evaluates a `PolyLog` with one
 complex exp of the summed phase per term, and reduces with
 `math.fsum(values.tolist())`.  The library evaluates per-axis phase
 factors in chunks and reduces with exact bucket sums; these slower
-references check it.
+references check it.  `polylog_values_per_term` is the per-term
+log-amplitude loop that the stacked log-sum-exp kernel of
+`lelong.weights` replaced, kept to check that kernel bit for bit.
 """
 
 import cmath
@@ -46,6 +48,40 @@ def polylog_values_exp(w: PolyLog, t, theta) -> np.ndarray:
             amp = np.exp(np.where(peak == -np.inf, -np.inf, la - peak))
             acc = acc + amp * np.exp(1j * np.asarray(ph, dtype=float))
         return np.where(peak == -np.inf, -np.inf, peak + np.log(np.abs(acc)))
+
+
+def polylog_values_per_term(w: PolyLog, t, theta) -> np.ndarray:
+    """log|sum_J c_J z^J| with one log-amplitude, peak shift and phase product per term.
+
+    Zero exponents are skipped, so 0 * (-inf) never appears.
+    """
+    logamps = []
+    for c, J in w.terms:
+        amp = None
+        for k, Jk in enumerate(J):
+            if Jk:
+                term = Jk * np.asarray(t[k], dtype=float)
+                amp = term if amp is None else amp + term
+        la = math.log(abs(c))
+        logamps.append(la if amp is None else la + amp)
+    peak = logamps[0]
+    for la in logamps[1:]:
+        peak = np.maximum(peak, la)
+    peak = np.asarray(peak, dtype=float)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        acc = None
+        for (c, J), la in zip(w.terms, logamps):
+            contrib = np.exp(np.where(peak == -np.inf, -np.inf, la - peak)) * (c / abs(c))
+            for k, Jk in enumerate(J):
+                if Jk:
+                    contrib = contrib * np.exp(1j * (Jk * np.asarray(theta[k], dtype=float)))
+            if acc is None:
+                acc = contrib
+            elif np.shape(acc) == np.broadcast_shapes(np.shape(acc), np.shape(contrib)):
+                acc += contrib
+            else:
+                acc = acc + contrib
+        return peak + np.log(np.abs(acc))
 
 
 def fsum_mean(values, shape) -> float:

@@ -17,7 +17,6 @@ from lelong.demailly import basis_norms, lelong_bounds_check
 from lelong.indicator_calculus import (
     directional_lelong_exact,
     generalized_lelong_exact,
-    indicator_eval,
     newton_number,
 )
 from lelong.numeric_oracle import (
@@ -29,7 +28,7 @@ from lelong.numeric_oracle import (
 )
 from lelong.poly_geom import ExponentSet, gamma_measure
 from lelong.weights import CoordLog, MaxOf, NegPowLog, PolyLog, Scale, scaling_transform
-from exact_oracles import complement_volume
+from exact_oracles import complement_volume, indicator_eval
 
 STANDARD = RadialSchedule(levels=(-5.0, -10.0, -20.0, -30.0), angular_nodes=256)
 

@@ -422,6 +422,39 @@ def test_integer_slots_accept_integral_rationals():
         {"op": "sandwich_check", "u": "pl", "m_list": [2], "degree_cap": 6})["result"]
 
 
+@pytest.mark.parametrize("task, where, got", [
+    ({"op": "directional_lelong_exact", "u": "tri", "a": "11"}, "a", '"11"'),
+    ({"op": "directional_lelong_numeric", "w": "cusp", "a": "11"}, "a", '"11"'),
+    ({"op": "indicator_profile", "w": "cusp", "directions": ["11"]}, "directions[0]", '"11"'),
+    ({"op": "sandwich_check", "u": "pl", "m_list": "12"}, "m_list", '"12"'),
+    ({"op": "sandwich_check", "u": "pl", "m_list": {"1": 2}}, "m_list", '{"1": 2}'),
+])
+def test_list_slots_accept_only_json_lists(task, where, got):
+    # a string would otherwise be read character by character
+    rec = _run_one(task)
+    assert rec["status"] == "error"
+    assert rec["error"] == f"ProblemError: tasks[0].{where}: expected a list, got {got}"
+
+
+@pytest.mark.parametrize("levels, error", [
+    (-5, "tasks[0].schedule.levels: expected a list, got -5"),
+    ([-5, True], "tasks[0].schedule.levels[1]: expected a number, got a boolean"),
+    (["deep", -5], "tasks[0].schedule.levels[0]: bad rational string 'deep': "
+                   "Invalid literal for Fraction: 'deep'"),
+    ([-5, -2], "tasks[0].schedule: levels must be strictly decreasing"),
+])
+def test_schedule_levels_errors_name_the_entry_once(levels, error):
+    task = {"op": "directional_lelong_numeric", "w": "cusp", "a": [1, 1], "schedule": {"levels": levels}}
+    assert _run_one(task)["error"] == f"ProblemError: {error}"
+
+
+def test_schedule_levels_read_exact_rationals():
+    task = {"op": "directional_lelong_numeric", "w": "cusp", "a": [1, 1]}
+    rec = _run_one({**task, "schedule": {"levels": ["-5/2", -10, [-20, 1]]}})
+    assert rec["status"] == "ok"
+    assert rec["result"] == _run_one({**task, "schedule": {"levels": [-2.5, -10, -20]}})["result"]
+
+
 def test_tolerance_reads_exact_rationals():
     task = {"op": "lelong_bounds_check", "u": "pl", "phi": "axes", "m_list": [1]}
     rec = _run_one({**task, "tolerance": "1/10"})

@@ -272,6 +272,33 @@ def test_um_empty_basis_is_bottom():
     assert um_eval(B, (0.5,)) == -math.inf
 
 
+def test_empty_basis_sums_to_nothing():
+    B = ApproxBasis(m=1, degree_cap=0, entries=(), u_ref=None, dimension=2)
+    t = (np.array([-0.5, -math.inf]), np.array([[-1.0], [-math.inf]]))
+    assert np.all(B.torus_values(t, (0.0, 0.0)) == -math.inf)
+    assert B.torus_values((-1.0, -2.0), (0.0, 0.0)) == -math.inf
+    assert B.cap_contribution((-1.0, -2.0)) == 0.0
+
+
+def test_basis_at_minus_infinity_log_moduli():
+    # 3 log|z| at m = 1: c_alpha is finite for alpha >= 3 only, so every
+    # entry vanishes at z = 0 and the sum there is empty
+    B = basis_norms(Scale(F(3), CoordLog(1)), 1, degree_cap=5, dim=1)
+    assert admissible_alphas(B) == [(3,), (4,), (5,)]
+    assert B.torus_values((-math.inf,), (0.0,)) == -math.inf
+    assert B.cap_contribution((-math.inf,)) == 0.0
+    # on the axis z1 = 0 the entries free of z1 remain
+    B = basis_norms(max_log(), 1, degree_cap=4, dim=2)
+    t = (-math.inf, -2.0)
+    gs = _loop_log_terms(B, t)
+    peak = max(gs)
+    kept = [math.exp(g - peak) for g in gs]
+    assert B.torus_values(t, (0.0, 0.0)) == pytest.approx(
+        (peak + math.log(math.fsum(kept))) / 2, rel=1e-14)
+    at_cap = [x for x, (alpha, _) in zip(kept, B.entries) if max(alpha) == 4]
+    assert 0 < B.cap_contribution(t) == pytest.approx(math.fsum(at_cap) / math.fsum(kept), rel=1e-12)
+
+
 # ---------------------------------------------------------------------------
 # sandwich report
 

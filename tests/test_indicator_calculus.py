@@ -4,12 +4,11 @@ from fractions import Fraction as F
 
 import pytest
 
+from exact_oracles import Indicator, indicator_eval
 from lelong.indicator_calculus import (
-    Indicator,
     LelongValue,
     directional_lelong_exact,
     generalized_lelong_exact,
-    indicator_eval,
     newton_number,
     tau,
 )

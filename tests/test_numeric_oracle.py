@@ -19,7 +19,7 @@ from lelong.numeric_oracle import (
     swept_measure_apply,
     torus_mean,
 )
-from lelong.poly_geom import ExponentSet
+from lelong.poly_geom import DegenerateIndicatorError, ExponentSet
 from lelong.weights import CoordLog, MaxOf, NegPowLog, PolyLog, Scale, scaling_transform
 
 
@@ -200,6 +200,15 @@ def test_oversized_torus_and_slice_grids_fail():
         torus_mean(w, (-1.0,) * 4, 128)
     with pytest.raises(ValueError, match="exceeds the limit"):
         slice_lelong(flat_weight(), 1, RadialSchedule(angular_nodes=2**24 + 1))
+    # the cap is checked before the angle arrays exist: 2^40 nodes per
+    # angle would be 8 TiB each
+    huge = RadialSchedule(angular_nodes=2**40)
+    w2 = PolyLog.of([(1, (1, 0)), (1, (0, 1))])
+    for probe in (lambda: torus_mean(w2, (-1.0, -1.0), 2**40),
+                  lambda: classical_lelong_numeric(w2, huge, dim=2),
+                  lambda: slice_lelong(w2, 1, huge)):
+        with pytest.raises(ValueError, match="exceeds the limit"):
+            probe()
 
 
 # ---------------------------------------------------------------------------
@@ -246,6 +255,36 @@ def test_swept_rejects_wall_atoms():
     assert any(any(x == 0 for x in t0) for t0, _ in atoms)
     with pytest.raises(ValueError, match="coordinate wall"):
         swept_measure_apply(S, CoordLog(1), -5.0, 256)
+
+
+def test_swept_measure_error_precedence():
+    # r, then the degenerate set, then every atom against the walls (a
+    # free atom sorts first in the second set), then nodes
+    walled = es((2, 0, 1), (1, 1, 0), (0, 2, 1))
+    walled_late = es((2, 0, 3), (2, 1, 1), (3, 0, 2), (3, 2, 0))
+    degenerate = es((1, 0))
+    with pytest.raises(ValueError, match="level must be negative"):
+        swept_measure_apply(degenerate, CoordLog(1), 0.0, 10)
+    with pytest.raises(DegenerateIndicatorError):
+        swept_measure_apply(degenerate, CoordLog(1), -5.0, 10)
+    for S in (walled, walled_late):
+        with pytest.raises(ValueError, match="coordinate wall"):
+            swept_measure_apply(S, CoordLog(1), -5.0, 10)
+    with pytest.raises(ValueError, match="nodes must be at least 64"):
+        swept_measure_apply(es((1, 0), (0, 1)), CoordLog(1), -5.0, 10)
+
+
+@pytest.mark.parametrize("w", [
+    PolyLog.of([(1, (2, 0)), (0.5 - 1j, (1, 2)), (2, (0, 3))]),
+    MaxOf.of(PolyLog.of([(1, (1, 1)), (-1, (3, 0))]), Scale(F(1, 2), CoordLog(2))),
+    CoordLog(1),
+])
+def test_swept_measure_is_the_level_mean_of_the_generalized_sweep(w):
+    S = es((4, 0), (1, 1), (0, 4))
+    levels = generalized_lelong_numeric(S, w, FAST).diagnostics["levels"]
+    for level in levels:
+        swept = swept_measure_apply(S, w, level["r"], FAST.angular_nodes)
+        assert swept.hex() == level["mean"].hex()
 
 
 def test_generalized_numeric_examples():

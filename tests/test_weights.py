@@ -132,7 +132,7 @@ def test_polylog_bounded_by_indicator_plus_constant():
     # indicator of the support by more than log(number of terms)
     import random
 
-    from lelong.indicator_calculus import indicator_eval
+    from exact_oracles import indicator_eval
 
     rng = random.Random(71)
     for _ in range(15):
@@ -223,3 +223,46 @@ def test_psh_star_rejects_bad_input():
 
     with pytest.raises(TypeError, match="not a weight expression"):
         is_psh_star(Custom(), 1)
+
+
+# ---------------------------------------------------------------------------
+# the stacked log-sum-exp kernel against the per-term loop it replaced
+
+
+def _same_bits(a, b) -> bool:
+    a, b = (np.ascontiguousarray(x, dtype=float) for x in np.broadcast_arrays(a, b))
+    return np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+_ANGLES = (2 * np.pi * (np.arange(64) + 0.618) / 64, 2 * np.pi * (np.arange(64) + 0.236) / 64)
+_SPHERE_T = np.log((np.arange(16) + 0.5) / 16)
+
+_POINTS = {
+    "scalar point": ((-0.3, -0.7), (0.4, 1.9)),
+    "scalar t": ((-1.5, -0.5), (_ANGLES[0][:, None], _ANGLES[1][None, :])),
+    "sphere-shaped t": ((-3.0 + 0.5 * _SPHERE_T.reshape(16, 1, 1),
+                         -3.0 + 0.5 * np.log1p(-np.exp(_SPHERE_T)).reshape(16, 1, 1)),
+                        (_ANGLES[0].reshape(1, 64, 1), _ANGLES[1].reshape(1, 1, 64))),
+    "-inf entry": ((-math.inf, -2.0), (_ANGLES[0][:, None], _ANGLES[1][None, :])),
+    "all -inf": ((-math.inf, -math.inf), (_ANGLES[0][:, None], _ANGLES[1][None, :])),
+    "-inf in t arrays": ((np.array([-0.5, -math.inf, -40.0]).reshape(3, 1, 1),
+                          np.array([-math.inf, -1.0]).reshape(1, 2, 1)),
+                         (0.0, _ANGLES[1].reshape(1, 1, 64))),
+}
+
+_POLYS = {
+    "three terms": [(1, (2, 0)), (0.5 - 1j, (1, 2)), (2, (0, 3))],
+    "constant and zero exponents": [(3, (0, 0)), (1j, (1, 0)), (-1, (0, 2)), (0.25, (4, 1))],
+    "single term": [(2 - 1j, (1, 2))],
+    "one axis unused": [(1, (1, 0)), (-0.5 + 2j, (3, 0))],
+}
+
+
+@pytest.mark.parametrize("point", _POINTS)
+@pytest.mark.parametrize("poly", _POLYS)
+def test_polylog_kernel_matches_per_term_loop_bit_for_bit(point, poly):
+    from grid_oracles import polylog_values_per_term
+
+    w = PolyLog.of(_POLYS[poly])
+    t, theta = _POINTS[point]
+    assert _same_bits(torus_values(w, t, theta), polylog_values_per_term(w, t, theta))
