@@ -12,14 +12,17 @@ In logarithmic radial coordinates s_k = log|z_k| the norm is
     c_alpha = (2 pi)^n integral over s <= 0 of exp(<2 alpha + 2, s> - 2 m u(s)) ds.
 
 Norms are exact for homogeneous piecewise-linear weights u = max_J <J, s>
-(coordinate logs, rational scalings, maxima and unimodular monomials):
-on each linearity cone of u the integrand is the exponential of a linear
+(coordinate logs, scalings, whose float factors are exact dyadic
+rationals, maxima and unimodular monomials) in every dimension.  The
+linearity cones of u are those of the double-description pass over its
+Newton diagram; on each the integrand is the exponential of a linear
 form, so c_alpha is a rational multiple of (2 pi)^n, and the integral
 diverges exactly when that form is nonnegative on a ray of the cone fan
 (Howald's criterion, alpha + 1 outside the interior of m times the Newton
-polyhedron).  Only the other weights are integrated numerically, on a
-per-axis shell decomposition; there a monomial is excluded when the
-shell contributions stop decaying (the integral diverges at the origin).
+polyhedron).  Only the other weights, in one or two variables, are
+integrated numerically, on a per-axis shell decomposition; there a
+monomial is excluded when the shell contributions stop decaying (the
+integral diverges at the origin).
 """
 
 from __future__ import annotations
@@ -27,19 +30,19 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import product
 from typing import Sequence
 
 import numpy as np
 
-from .exactgeom import Vec
+from .exactgeom import Vec, dot, eliminate, triangulate
 from .indicator_calculus import generalized_lelong_exact, tau
 from .numeric_oracle import (
     DEFAULT_SCHEDULE,
     RadialSchedule,
     generalized_lelong_numeric,
 )
-from .poly_geom import ExponentSet
+from .poly_geom import ExponentSet, _diagram, sublevel_vertices
 from .weights import CoordLog, MaxOf, PolyLog, Scale, _log_rows, _peak_shift
 from .weights import dimension_of, eval_expr, indicator_support, is_multicircled, torus_values
 
@@ -111,10 +114,10 @@ def basis_norms(u, m: int, degree_cap: int | None = None, dim: int | None = None
     """Squared norms c_alpha = (2 pi)^n integral of prod r_k^(2 alpha_k + 1) exp(-2 m u).
 
     Homogeneous piecewise-linear weights get exact norms and an exact
-    divergence test; every other weight goes through the shell
-    quadrature.
+    divergence test in any dimension; every other weight goes through the
+    shell quadrature, in dimensions 1 and 2.
     Without a degree_cap a piecewise-linear weight keeps every exponent
-    up to max(DEFAULT_DEGREE_CAP[n], 2 ceil(m p)), p the largest axis
+    up to max(DEFAULT_DEGREE_CAP[min(n, 2)], 2 ceil(m p)), p the largest axis
     intercept of its Newton polyhedron, so that the least admissible
     pure power of each coordinate is in the basis.
     """
@@ -125,17 +128,17 @@ def basis_norms(u, m: int, degree_cap: int | None = None, dim: int | None = None
     if not is_multicircled(u):
         raise ValueError("basis norms need a torus-invariant weight")
     n = dim if dim is not None else dimension_of(u)
-    if n not in (1, 2):
-        raise ValueError("basis construction supports dimensions 1 and 2 only")
     if n < dimension_of(u):
         raise ValueError(f"weight references {dimension_of(u)} coordinates, basis has {n}")
     gens = _pl_generators(u, n)
     if gens is None:
+        if n not in (1, 2):
+            raise ValueError("basis construction supports dimensions 1 and 2 only")
         cap = DEFAULT_DEGREE_CAP[n] if degree_cap is None else degree_cap
         entries = _quadrature_norms(u, m, cap, n)
     else:
         cap = _pl_degree_cap(gens, m, n) if degree_cap is None else degree_cap
-        entries = _exact_norms(gens, m, cap, n)
+        entries = [(a, (2.0 * math.pi) ** n * float(c)) for a, c in _exact_norms(gens, m, cap, n)]
     return ApproxBasis(m=m, degree_cap=cap, entries=tuple(entries), u_ref=u, dimension=n)
 
 
@@ -143,9 +146,9 @@ def _pl_generators(u, n: int) -> list[Vec] | None:
     """The J with u = max_J <J, log|z|>, or None when u has no such form."""
     if isinstance(u, CoordLog):
         return [tuple(Fraction(int(k == u.axis - 1)) for k in range(n))]
-    if isinstance(u, Scale) and isinstance(u.factor, Fraction):
+    if isinstance(u, Scale):
         child = _pl_generators(u.child, n)
-        return None if child is None else [tuple(u.factor * x for x in J) for J in child]
+        return None if child is None else [tuple(Fraction(u.factor) * x for x in J) for J in child]
     if isinstance(u, MaxOf):
         out: list[Vec] = []
         for c in u.children:
@@ -161,7 +164,7 @@ def _pl_generators(u, n: int) -> list[Vec] | None:
 
 
 def _pl_degree_cap(gens: list[Vec], m: int, n: int) -> int:
-    """max(DEFAULT_DEGREE_CAP[n], 2 ceil(m p)), p the largest axis intercept.
+    """max(DEFAULT_DEGREE_CAP[min(n, 2)], 2 ceil(m p)), p the largest axis intercept.
 
     The intercept on axis k is the least pure generator p e_k; axes that
     carry none are ignored.
@@ -170,61 +173,59 @@ def _pl_degree_cap(gens: list[Vec], m: int, n: int) -> int:
         J[k] for J in gens for k in range(n)
         if J[k] > 0 and all(x == 0 for i, x in enumerate(J) if i != k)
     ]
-    return max(DEFAULT_DEGREE_CAP[n], 2 * math.ceil(m * max(intercepts, default=0)))
+    return max(DEFAULT_DEGREE_CAP[min(n, 2)], 2 * math.ceil(m * max(intercepts, default=0)))
 
 
-def _pl_cones(gens: list[Vec], n: int) -> list[tuple[tuple[Vec, ...], Vec, Fraction]]:
+def _pl_cones(gens: list[Vec], n: int) -> list[tuple[list[tuple[int, ...]], Vec, int]]:
     """Simplicial cones covering s <= 0 on each of which max_J <J, s> is linear.
 
     Returns (rays, J, |det rays|) with J the generator active on the cone.
-    In two dimensions the rays are the two axes and every direction of
-    the open negative quadrant where two generators tie; the ray at
-    parameter x in [0, 1] is (x - 1, -x), so consecutive rays x < y span
-    a cone with |det| = y - x.
+    The linearity cone of each hull vertex J and its extreme rays come
+    from the double-description pass of `poly_geom._diagram`.  The cut of
+    the cone at sum(s) = -1 is triangulated, and each simplex keeps the
+    primitive integer rays through its vertices.  `ExponentSet.of` would
+    reject a zero generator (u = 0 on s <= 0), whose row lam <= 0 leaves
+    the orthant as the one cone.
     """
-    if n == 1:
-        cones = [(((Fraction(-1),),), Fraction(1))]
-    else:
-        xs = {Fraction(0), Fraction(1)}
-        for J, K in combinations(gens, 2):
-            d1, d2 = J[0] - K[0], J[1] - K[1]
-            if d1 * d2 < 0:  # <J - K, s> = 0 at s = -(|d2|, |d1|)
-                xs.add(abs(d1) / (abs(d1) + abs(d2)))
-        xs = sorted(xs)
-        cones = [
-            (((x - 1, -x), (y - 1, -y)), y - x) for x, y in zip(xs, xs[1:])
-        ]
-    out = []
-    for rays, det in cones:
-        inner = tuple(sum(v[k] for v in rays) for k in range(n))
-        J = max(gens, key=lambda G: sum(g * s for g, s in zip(G, inner)))
-        out.append((rays, J, det))
-    return out
+    cones = []
+    for J, rays in _diagram(ExponentSet(n, tuple(sorted(set(gens)))))[1]:
+        by_cut = {tuple(Fraction(x, -sum(v)) for x in v): v for v in rays}
+        for simplex in triangulate(list(by_cut)):
+            V = [by_cut[p] for p in simplex]
+            cones.append((V, J, int(abs(eliminate(V)[2]))))
+    return cones
 
 
 def _exact_norms(gens: list[Vec], m: int, degree_cap: int, n: int):
-    """(alpha, c_alpha) for the admissible alpha, summed exactly over the cones."""
-    cones = _pl_cones(gens, n)
+    """(alpha, c_alpha / (2 pi)^n) for the admissible alpha, summed exactly over the cones.
+
+    With d = 2 alpha + 2 - 2 m J, each ray's -<d, v> is the affine form
+    <-2 v, alpha> + (2 m <J, v> - 2 sum(v)), set up once per m, so each
+    alpha costs integer dot products and one rational add per ray.
+    """
+    cones = [
+        (det, [([-2 * x for x in v], 2 * m * dot(J, v) - 2 * sum(v)) for v in rays])
+        for rays, J, det in _pl_cones(gens, n)
+    ]
     entries = []
     for alpha in product(range(degree_cap + 1), repeat=n):
-        c = _cone_integral(cones, m, alpha)
+        c = _cone_integral(cones, alpha)
         if c is not None:
-            entries.append((alpha, (2.0 * math.pi) ** n * float(c)))
+            entries.append((alpha, c))
     return entries
 
 
-def _cone_integral(cones, m: int, alpha) -> Fraction | None:
+def _cone_integral(cones, alpha) -> Fraction | None:
     """c_alpha / (2 pi)^n, or None when the integral diverges.
 
-    A cone with rays v_i and active generator J adds |det V| / prod(-<d, v_i>),
-    d = 2 alpha + 2 - 2 m J; the integral diverges when some -<d, v_i> <= 0.
+    A cone adds |det V| / prod(-<d, v_i>); the integral diverges when
+    some -<d, v_i> <= 0.
     """
     total = Fraction(0)
-    for rays, J, det in cones:
-        d = [2 * a + 2 - 2 * m * j for a, j in zip(alpha, J)]
+    for det, forms in cones:
         denom = Fraction(1)
-        for v in rays:
-            e = -sum(dk * vk for dk, vk in zip(d, v))
+        for w, const in forms:
+            e = const + sum(map(int.__mul__, w, alpha))
             if e <= 0:
                 return None
             denom *= e
@@ -320,11 +321,7 @@ def sandwich_check(u, m_list: Sequence[int], degree_cap: int | None = None,
     """
     n = dim if dim is not None else dimension_of(u)
     if sample_points is None:
-        radii = [0.05, 0.15, 0.3, 0.5, 0.7, 0.85]
-        if n == 1:
-            sample_points = [(r,) for r in radii]
-        else:
-            sample_points = [(r1, r2) for r1 in radii for r2 in radii]
+        sample_points = list(product([0.05, 0.15, 0.3, 0.5, 0.7, 0.85], repeat=n))
     c1_by_m = {}
     c2_by_m = {}
     for m in m_list:
@@ -390,8 +387,6 @@ def lelong_bounds_check(u, S_phi: ExponentSet, m_list: Sequence[int],
     tau_sum = sum((tau(S_phi, k).value for k in range(1, n + 1)), Fraction(0))
     # for weights whose sublevel set touches a coordinate wall the slice
     # constants bound the correction only from above; flagged, not altered
-    from .poly_geom import sublevel_vertices
-
     wall_touching = any(
         any(x == 0 for x in t0) for t0 in sublevel_vertices(S_phi).extreme_points
     )

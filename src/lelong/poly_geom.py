@@ -128,32 +128,36 @@ def _check_axes(S: ExponentSet) -> None:
             raise DegenerateIndicatorError(k + 1)
 
 
-def _diagram(S: ExponentSet) -> tuple[list[tuple[Vec, tuple[Vec, ...]]], tuple[Vec, ...]]:
+def _diagram(S: ExponentSet) -> tuple[
+    list[tuple[Vec, tuple[Vec, ...]]], list[tuple[Vec, list[tuple[int, ...]]]]
+]:
     """One double-description pass over the sublevel polyhedron of S.
 
     The rows over (t, lam) are the orthant t_k <= 0, -lam <= 0, which
     starts the pass, and <J, t> + lam <= 0 for each generator.  Returns
     the sorted vertices t0, each with its dual face (the hull vertices J
-    with <J, t0> = -1), and the hull vertices of conv(S) + R_+^n.  These
-    are the generators whose constraint is a facet, i.e. has incident
-    rays of rank n: by Farkas, exactly the J that alone attain the max at
-    some strictly negative t.  No axis check is made here, since bounded
-    faces exist even when an axis direction is unblocked.
+    with <J, t0> = -1), and the fan of f: each hull vertex J of
+    conv(S) + R_+^n with the t-parts of the rays active on its row.  The
+    hull vertices are the generators whose constraint is a facet, i.e.
+    has incident rays of rank n: by Farkas, exactly the J that alone
+    attain the max at some strictly negative t.  Their rays (vertices,
+    lam > 0, and directions -e_k with J_k = 0, lam = 0) are the extreme
+    rays of the linearity cone {t <= 0 : f(t) = <J, t>}, and these cones
+    tile the orthant.  No axis check is made here, since bounded faces
+    exist even when an axis direction is unblocked.
     """
     n = S.dimension
     orthant = [[(-1 if k == n else 1) * int(i == k) for i in range(n + 1)] for k in range(n + 1)]
     rays = double_description(orthant + [list(J) + [1] for J in S.points], n + 1)
-    hull = [
-        j for j in range(len(S.points))
-        if len(eliminate([ray for ray, act in rays if n + 1 + j in act])[1]) == n
-    ]
+    active = [[ray for ray, act in rays if n + 1 + j in act] for j in range(len(S.points))]
+    hull = [j for j, on in enumerate(active) if len(eliminate(on)[1]) == n]
     vertices = sorted(
         (tuple(Fraction(x, ray[n]) for x in ray[:n]),
          tuple(S.points[j] for j in hull if n + 1 + j in act))
         for ray, act in rays
         if ray[n] > 0
     )
-    return vertices, tuple(S.points[j] for j in hull)
+    return vertices, [(S.points[j], [ray[:n] for ray in active[j]]) for j in hull]
 
 
 def sublevel_vertices(S: ExponentSet) -> SublevelPolyhedron:
@@ -176,10 +180,10 @@ def dominated_hull(S: ExponentSet) -> NewtonDiagramStruct:
     The bounded faces are the dual faces of the strictly negative
     vertices of the sublevel polyhedron.
     """
-    vertices, hull = _diagram(S)
+    vertices, fan = _diagram(S)
     return NewtonDiagramStruct(
         generators=S,
-        hull_vertices=hull,
+        hull_vertices=tuple(J for J, _ in fan),
         bounded_faces=tuple(
             NewtonDiagramFace(vertices=face, normal=t0)
             for t0, face in vertices

@@ -4,7 +4,11 @@ Lasserre's recursion measures an H-polytope without enumerating a single
 vertex, so its complement volume checks the atom masses of
 `gamma_measure`, which come from vertices and triangulated cones.
 `enumerate_vertices` gives the vertices of an H-polytope, whose
-triangulated volume the recursion checks in turn.  `indicator_eval`
+triangulated volume the recursion checks in turn.  `sweep_cones` finds
+the linearity cones of a piecewise-linear weight in one and two variables
+by sorting the directions where two generators tie, without the
+double-description fan, and `sweep_cone_integral` sums a Bergman norm
+over them.  `indicator_eval`
 evaluates an indicator max_J <J, log|y|> pointwise in pure Python, apart
 from the numeric weight evaluation it checks.
 """
@@ -12,6 +16,7 @@ from the numeric weight evaluation it checks.
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 from typing import Sequence
 
 from lelong.exactgeom import Constraint, Vec, double_description, eliminate, frac, vec
@@ -154,3 +159,51 @@ def indicator_eval(phi: Indicator | ExponentSet, y: Sequence[complex]) -> float:
                 term += float(Jk) * lk
         best = max(best, term)
     return best
+
+
+def sweep_cones(gens: list[Vec], n: int) -> list[tuple[tuple[Vec, ...], Vec, Fraction]]:
+    """Simplicial cones covering s <= 0 on each of which max_J <J, s> is linear.
+
+    Returns (rays, J, |det rays|) with J the generator active on the cone.
+    In two dimensions the rays are the two axes and every direction of
+    the open negative quadrant where two generators tie; the ray at
+    parameter x in [0, 1] is (x - 1, -x), so consecutive rays x < y span
+    a cone with |det| = y - x.
+    """
+    if n == 1:
+        cones = [(((Fraction(-1),),), Fraction(1))]
+    else:
+        xs = {Fraction(0), Fraction(1)}
+        for J, K in combinations(gens, 2):
+            d1, d2 = J[0] - K[0], J[1] - K[1]
+            if d1 * d2 < 0:  # <J - K, s> = 0 at s = -(|d2|, |d1|)
+                xs.add(abs(d1) / (abs(d1) + abs(d2)))
+        xs = sorted(xs)
+        cones = [
+            (((x - 1, -x), (y - 1, -y)), y - x) for x, y in zip(xs, xs[1:])
+        ]
+    out = []
+    for rays, det in cones:
+        inner = tuple(sum(v[k] for v in rays) for k in range(n))
+        J = max(gens, key=lambda G: sum(g * s for g, s in zip(G, inner)))
+        out.append((rays, J, det))
+    return out
+
+
+def sweep_cone_integral(cones, m: int, alpha) -> Fraction | None:
+    """c_alpha / (2 pi)^n, or None when the integral diverges.
+
+    A cone with rays v_i and active generator J adds |det V| / prod(-<d, v_i>),
+    d = 2 alpha + 2 - 2 m J; the integral diverges when some -<d, v_i> <= 0.
+    """
+    total = Fraction(0)
+    for rays, J, det in cones:
+        d = [2 * a + 2 - 2 * m * j for a, j in zip(alpha, J)]
+        denom = Fraction(1)
+        for v in rays:
+            e = -sum(dk * vk for dk, vk in zip(d, v))
+            if e <= 0:
+                return None
+            denom *= e
+        total += det / denom
+    return total

@@ -471,6 +471,7 @@ def test_ops_that_take_the_dimension_get_the_problem_dimension():
         "dimension": 3,
         "objects": {
             "w": {"kind": "expr", "expr": {"node": "coord_log", "axis": 1}},
+            "v": {"kind": "expr", "expr": {"node": "neg_pow_log", "axis": 1, "power": "1/2"}},
             "phi": {"kind": "monomial_weight", "exponents": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]},
         },
         "tasks": [
@@ -478,16 +479,21 @@ def test_ops_that_take_the_dimension_get_the_problem_dimension():
             {"op": "slice_lelong", "w": "w", "k": 1},
             {"op": "sandwich_check", "u": "w", "m_list": [1]},
             {"op": "lelong_bounds_check", "u": "w", "phi": "phi", "m_list": [1]},
+            {"op": "sandwich_check", "u": "v", "m_list": [1]},
         ],
     }
-    classical, sliced, sandwich, bounds = execute(parse_problem(problem)).tasks
+    classical, sliced, sandwich, bounds, quadrature = execute(parse_problem(problem)).tasks
     # the sphere mean of log|z1| in C^3 is r + E log|w1| = r - 3/4 (r alone in C^1);
     # 16 radial nodes per simplex axis give it to about 1e-2
     level = classical["result"]["per_level"][0]
     assert level["mean"] == pytest.approx(level["r"] - 0.75, abs=0.05)
     assert sliced["error"] == "ValueError: slice estimates are implemented for dimension 2 only"
-    for rec in (sandwich, bounds):
-        assert rec["error"] == "ValueError: basis construction supports dimensions 1 and 2 only"
+    # a piecewise-linear weight gets an exact 3-D basis, whose sample points are 3-D
+    assert sandwich["status"] == bounds["status"] == "pass"
+    assert bounds["result"]["exact"] == "1"
+    assert bounds["result"]["estimates_by_m"]["1"]["estimate"] == pytest.approx(1.0, abs=1e-6)
+    # the shell quadrature stays two-dimensional
+    assert quadrature["error"] == "ValueError: basis construction supports dimensions 1 and 2 only"
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,10 @@
 import math
 from fractions import Fraction as F
+from itertools import combinations, product
 
 import numpy as np
 import pytest
+from exact_oracles import solve
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -91,33 +93,31 @@ def test_basis_max_log_excludes_constant_at_m2():
     assert all(sum(a) >= 1 for a in alphas)
 
 
-def _sublevel_vertices_2d(gens):
-    """Vertices of {t <= 0 : <J, t> <= -1 for every J}, by pairwise line cuts.
+def _sublevel_vertices(gens, n):
+    """Vertices of {t <= 0 : <J, t> <= -1 for every J}, by n-subset solves.
 
-    Empty when a generator is zero (that constraint reads 0 <= -1).
+    Every n independent rows among the constraints meet in one point,
+    kept when it satisfies them all.  Empty when a generator is zero
+    (that constraint reads 0 <= -1).
     """
-    cons = [(F(J[0]), F(J[1]), F(-1)) for J in gens] + [(F(1), F(0), F(0)), (F(0), F(1), F(0))]
+    cons = [(tuple(F(x) for x in J), F(-1)) for J in gens]
+    cons += [(tuple(F(int(i == k)) for i in range(n)), F(0)) for k in range(n)]
     verts = set()
-    for i, (a1, b1, c1) in enumerate(cons):
-        for a2, b2, c2 in cons[i + 1:]:
-            det = a1 * b2 - a2 * b1
-            if det == 0:
-                continue
-            t = ((c1 * b2 - c2 * b1) / det, (a1 * c2 - a2 * c1) / det)
-            if all(a * t[0] + b * t[1] <= c for a, b, c in cons):
-                verts.add(t)
+    for rows in combinations(cons, n):
+        t = solve([a for a, _ in rows], [b for _, b in rows])
+        if t is not None and all(sum(x * y for x, y in zip(a, t)) <= b for a, b in cons):
+            verts.add(t)
     return verts
 
 
-def _exact_admissible(gens, m, cap):
+def _exact_admissible(gens, m, cap, n=2):
     """Howald's criterion: the alpha <= cap with alpha+1 strictly inside m
     times the Newton polyhedron, checked on the sublevel vertices."""
-    verts = _sublevel_vertices_2d(gens)
+    verts = _sublevel_vertices(gens, n)
     return {
-        (i, j)
-        for i in range(cap + 1)
-        for j in range(cap + 1)
-        if all((i + 1) * t1 + (j + 1) * t2 < -m for t1, t2 in verts)
+        alpha
+        for alpha in product(range(cap + 1), repeat=n)
+        if all(sum((a + 1) * x for a, x in zip(alpha, t)) < -m for t in verts)
     }
 
 
@@ -125,12 +125,12 @@ def _pl_weight(gens):
     """max_J <J, log|z|> as a weight tree over the node kinds with exact norms."""
     terms = []
     for J in gens:
-        J = (F(J[0]), F(J[1]))
-        if J[1] == 0 and J[0] > 0:
+        J = tuple(F(x) for x in J)
+        if J[0] > 0 and not any(J[1:]):
             terms.append(Scale(J[0], CoordLog(1)) if J[0] != 1 else CoordLog(1))
             continue
-        q = math.lcm(J[0].denominator, J[1].denominator)
-        mono = PolyLog.of([(1j, (int(J[0] * q), int(J[1] * q)))])
+        q = math.lcm(*(x.denominator for x in J))
+        mono = PolyLog.of([(1j, tuple(int(x * q) for x in J))])
         terms.append(mono if q == 1 else Scale(F(1, q), mono))
     return terms[0] if len(terms) == 1 else MaxOf(tuple(terms))
 
@@ -158,6 +158,23 @@ _generator = st.builds(
 def test_exact_admissible_set_matches_howald(gens, m):
     B = basis_norms(_pl_weight(gens), m, degree_cap=6, dim=2)
     assert set(admissible_alphas(B)) == _exact_admissible(gens, m, 6)
+
+
+_generator_3d = st.builds(
+    lambda a, b, c, q: (F(a, q), F(b, q), F(c, q)),
+    st.integers(0, 5), st.integers(0, 5), st.integers(0, 5), st.sampled_from((1, 2)),
+)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(gens=st.lists(_generator_3d, min_size=1, max_size=4, unique=True), m=st.integers(1, 3))
+@example(gens=[(F(1), F(0), F(0))], m=2)  # log|z1|: no generator on axes 2 and 3
+@example(gens=[(F(0), F(0), F(0)), (F(1), F(1), F(1))], m=1)  # constant weight
+@example(gens=[(F(2), F(0), F(0)), (F(0), F(3, 2), F(0)), (F(0), F(0), F(3))], m=2)
+@example(gens=[(F(3), F(0), F(0)), (F(1), F(1), F(1)), (F(0), F(3), F(0)), (F(0), F(0), F(3))], m=1)
+def test_exact_admissible_set_matches_howald_3d(gens, m):
+    B = basis_norms(_pl_weight(gens), m, degree_cap=4, dim=3)
+    assert set(admissible_alphas(B)) == _exact_admissible(gens, m, 4, 3)
 
 
 def test_exact_norm_closed_form():
@@ -392,6 +409,13 @@ def test_default_degree_cap_covers_least_pure_powers():
     # axes without a pure generator do not count
     assert basis_norms(_pl_weight([(3, 3)]), 4, dim=2).degree_cap == 8
     assert basis_norms(Scale(F(7), CoordLog(1)), 2, dim=1).degree_cap == 28
+
+
+def test_default_degree_cap_three_variables():
+    # three variables take the two-variable default and the same intercept rule
+    assert basis_norms(Scale(F(3), CoordLog(1)), 1, dim=3).degree_cap == 8
+    u = MaxOf.of(Scale(F(2), CoordLog(1)), Scale(F(3, 2), CoordLog(2)), Scale(F(3), CoordLog(3)))
+    assert basis_norms(u, 2, dim=3).degree_cap == 12
 
 
 def test_default_cap_bounds_check_steep_weight():

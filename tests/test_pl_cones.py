@@ -1,0 +1,196 @@
+"""Exact Bergman norms of piecewise-linear weights, summed over the cone fan.
+
+A weight u = max_J <J, log|z|> is linear on each cone of its fan, so the
+norm c_alpha is a sum of simplicial cone integrals |det V| / prod(-<d, v>).
+The fan comes from the double-description pass of `poly_geom._diagram`;
+the checks here compare it with the two-dimensional tie sweep kept in
+`tests/exact_oracles.py`, with a tiling identity in n = 1..4, with the
+factorization of a weight that ignores a coordinate, and with a golden
+file of bases.
+"""
+
+import json
+import math
+from fractions import Fraction as F
+from itertools import product
+from pathlib import Path
+
+import pytest
+from exact_oracles import sweep_cone_integral, sweep_cones
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from lelong.cli import _expr_record
+from lelong.demailly import _exact_norms, _pl_cones, basis_norms
+from lelong.weights import CoordLog, MaxOf, PolyLog, Scale
+
+GOLDEN = Path(__file__).parent / "golden" / "pl_bases.json"
+
+
+def _mono(*J, c=1):
+    return PolyLog.of([(c, J)])
+
+
+_L1, _L2 = CoordLog(1), CoordLog(2)
+
+# (weight, dimension): coordinate logs, Fraction scales, unimodular
+# monomials, the constant weight, duplicated and dominated generators
+GOLDEN_WEIGHTS = [
+    (_L1, 1),
+    (Scale(F(1, 2), _L1), 1),
+    (Scale(F(2, 3), _L1), 1),
+    (Scale(F(3), _L1), 1),
+    (Scale(F(7, 4), _L1), 1),
+    (_mono(0), 1),
+    (_mono(2, c=-1), 1),
+    (_mono(3, c=1j), 1),
+    (MaxOf.of(_L1, Scale(F(2), _L1)), 1),
+    (MaxOf.of(_L1, _L1), 1),
+    (Scale(F(1, 2), MaxOf.of(Scale(F(3), _L1), _mono(2))), 1),
+    (MaxOf.of(_mono(0), _L1), 1),
+    (Scale(F(3, 2), _mono(0)), 1),
+    (Scale(F(5, 3), Scale(F(3, 5), _L1)), 1),
+    (_L1, 2),
+    (_L2, 2),
+    (MaxOf.of(_L1, _L2), 2),
+    (MaxOf.of(Scale(F(2), _L1), Scale(F(3), _L2)), 2),
+    (MaxOf.of(Scale(F(2), _L1), Scale(F(3, 2), _L2)), 2),
+    (MaxOf.of(Scale(F(3), _L1), _mono(1, 1), Scale(F(3), _L2)), 2),
+    (_mono(1, 1), 2),
+    (_mono(2, 1, c=-1), 2),
+    (Scale(F(1, 2), _mono(1, 3)), 2),
+    (_mono(0, 0), 2),
+    (MaxOf.of(_mono(0, 0), _L1), 2),
+    (MaxOf.of(_L1, _L1, _L2), 2),
+    (MaxOf.of(Scale(F(2), _L1), _mono(2, 0, c=1j), _L2), 2),
+    (MaxOf.of(Scale(F(2), _L1), Scale(F(2), _L2), _mono(1, 1)), 2),
+    (MaxOf.of(Scale(F(2), _L1), Scale(F(2), _L2), _mono(2, 2)), 2),
+    (MaxOf.of(_L1, _mono(1, 1)), 2),
+    (MaxOf.of(_mono(1, 1), _mono(0, 2)), 2),
+    (MaxOf.of(Scale(F(4), _L1), Scale(F(5, 2), _L2)), 2),
+    (MaxOf.of(Scale(F(1, 2), _mono(1, 4)), Scale(F(1, 3), _mono(3, 1)), Scale(F(3, 2), _L1),
+              Scale(F(5, 2), _L2)), 2),
+    (Scale(F(1, 2), MaxOf.of(_mono(2, 1), _mono(1, 2))), 2),
+    (MaxOf.of(_mono(3, 0), _mono(2, 1), _mono(0, 3)), 2),
+    (MaxOf.of(Scale(F(3, 2), _L1), _mono(1, 1), Scale(F(2), _L2)), 2),
+    (Scale(F(2, 3), MaxOf.of(_mono(1, 0), _mono(0, 2), _mono(1, 1))), 2),
+    (MaxOf.of(_mono(1, 2), _mono(2, 0)), 2),
+    (MaxOf.of(Scale(F(1, 3), _mono(0, 1)), _mono(1, 0, c=-1)), 2),
+    (MaxOf.of(_mono(0, 0), Scale(F(2), _L1), Scale(F(2), _L2)), 2),
+]
+
+
+def pl_bases() -> list[dict]:
+    """Every golden weight at m = 1..3, with the default cap and with cap 4.
+
+    Norms are written with `float.hex`, so the comparison is bit for bit.
+    `GOLDEN.write_text(_golden_text(pl_bases()))` rewrites the file, for a
+    change that means to move a norm.
+    """
+    out = []
+    for w, n in GOLDEN_WEIGHTS:
+        for m in (1, 2, 3):
+            for cap in (None, 4):
+                B = basis_norms(w, m, cap, dim=n)
+                out.append({
+                    "weight": _expr_record(w),
+                    "dim": n,
+                    "m": m,
+                    "cap_given": cap,
+                    "degree_cap": B.degree_cap,
+                    "entries": [[list(a), c.hex()] for a, c in B.entries],
+                })
+    return out
+
+
+def _golden_text(records: list[dict]) -> str:
+    return "[\n" + ",\n".join(json.dumps(r, separators=(",", ":")) for r in records) + "\n]\n"
+
+
+def test_pl_bases_match_golden():
+    assert _golden_text(pl_bases()) == GOLDEN.read_text()
+
+
+# ---------------------------------------------------------------------------
+# the fan against the tie sweep, and its tiling of the orthant
+
+_generator = st.builds(
+    lambda a, b, q: (F(a, q), F(b, q)),
+    st.integers(0, 8), st.integers(0, 8), st.sampled_from((1, 2, 3)),
+)
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(gens=st.lists(_generator, min_size=1, max_size=5), n=st.integers(1, 2), m=st.integers(1, 4))
+@example(gens=[(F(0), F(0)), (F(2), F(1))], n=2, m=1)  # a zero generator: u = 0
+@example(gens=[(F(1), F(2)), (F(3), F(0)), (F(1), F(2))], n=2, m=2)  # a duplicate
+@example(gens=[(F(1), F(0))], n=2, m=3)  # log|z1|: no generator on axis 2
+@example(gens=[(F(3), F(0)), (F(1), F(1)), (F(0), F(3))], n=2, m=1)  # kink inside the quadrant
+def test_cone_sums_match_tie_sweep(gens, n, m):
+    gens = [J[:n] for J in gens]
+    cap = 8
+    got = dict(_exact_norms(gens, m, cap, n))
+    cones = sweep_cones(gens, n)
+    for alpha in product(range(cap + 1), repeat=n):
+        assert got.get(alpha) == sweep_cone_integral(cones, m, alpha), alpha
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(
+    rows=st.lists(
+        st.tuples(st.lists(st.integers(0, 4), min_size=4, max_size=4), st.sampled_from((1, 2))),
+        min_size=1, max_size=5,
+    ),
+    n=st.integers(1, 4),
+)
+@example(rows=[([0, 0, 0, 0], 1), ([1, 2, 0, 1], 1)], n=3)
+@example(rows=[([1, 0, 0, 0], 1)], n=4)
+@example(rows=[([2, 0, 0, 0], 1), ([1, 1, 1, 0], 1), ([0, 2, 0, 0], 1), ([0, 0, 2, 0], 1)], n=3)
+def test_cones_tile_the_orthant(rows, n):
+    # the integral of exp(sum(s)) over s <= 0 is 1, and each simplicial
+    # cone V contributes |det V| / prod(-sum(v)): the cones must cover the
+    # orthant once, each with a generator that attains the max on all its rays
+    gens = [tuple(F(x, q) for x in J[:n]) for J, q in rows]
+    total = F(0)
+    for rays, J, det in _pl_cones(gens, n):
+        assert det > 0
+        for v in rays:
+            assert sum(j * x for j, x in zip(J, v)) == max(sum(k * x for k, x in zip(K, v)) for K in gens)
+        total += F(det, math.prod(-sum(v) for v in rays))
+    assert total == 1
+
+
+# ---------------------------------------------------------------------------
+# three variables
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(gens=st.lists(_generator, min_size=1, max_size=4), m=st.integers(1, 3), free=st.integers(0, 2))
+@example(gens=[(F(4), F(0)), (F(0), F(5, 2))], m=1, free=2)
+@example(gens=[(F(4), F(0)), (F(0), F(5, 2))], m=2, free=2)
+@example(gens=[(F(4), F(0)), (F(0), F(5, 2))], m=3, free=2)
+def test_weight_free_of_one_coordinate_factorizes(gens, m, free):
+    # the integral over the free log-radius s splits off: c_alpha picks up
+    # 2 pi / (2 alpha_free + 2), exactly
+    cap = 6
+    lifted = [J[:free] + (F(0),) + J[free:] for J in gens]
+    plane = dict(_exact_norms(gens, m, cap, 2))
+    space = dict(_exact_norms(lifted, m, cap, 3))
+    for alpha in product(range(cap + 1), repeat=3):
+        rest = alpha[:free] + alpha[free + 1:]
+        want = plane[rest] / (2 * alpha[free] + 2) if rest in plane else None
+        assert space.get(alpha) == want, alpha
+
+
+# ---------------------------------------------------------------------------
+# float scale factors are exact dyadic rationals
+
+
+@pytest.mark.parametrize("a, b", [(2.0, 1.5), (0.75, 2.5), (0.1, 1.0)])
+def test_float_scales_give_the_fraction_basis(a, b):
+    for m in (1, 2, 3):
+        for cap in (None, 5):
+            flt = basis_norms(MaxOf.of(Scale(a, _L1), Scale(b, _L2)), m, cap, dim=2)
+            exact = basis_norms(MaxOf.of(Scale(F(a), _L1), Scale(F(b), _L2)), m, cap, dim=2)
+            assert flt.degree_cap == exact.degree_cap
+            assert flt.entries == exact.entries
