@@ -163,10 +163,9 @@ def _parse_expr(node, dimension: int, where: str):
         if tag == "scale":
             _require_keys(node, {"node", "factor", "child"}, where)
             factor = node.get("factor")
-            if isinstance(factor, float):
-                f: Fraction | float = factor
-            else:
-                f = _rational(factor, f"{where}.factor")
+            if isinstance(factor, float) and not math.isfinite(factor):
+                raise ProblemError(f"{where}.factor", f"expected a finite number, got {json.dumps(factor)}")
+            f = factor if isinstance(factor, float) else _rational(factor, f"{where}.factor")
             return weights.Scale(f, _parse_expr(node.get("child"), dimension, f"{where}.child"))
         if tag == "neg_pow_log":
             _require_keys(node, {"node", "axis", "power"}, where)

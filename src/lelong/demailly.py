@@ -57,6 +57,7 @@ __all__ = [
 ]
 
 DEFAULT_DEGREE_CAP = {1: 12, 2: 8}
+MAX_BASIS_EXPONENTS = 2**16  # also bounds the default sample points of sandwich_check
 
 
 @dataclass(frozen=True)
@@ -119,7 +120,9 @@ def basis_norms(u, m: int, degree_cap: int | None = None, dim: int | None = None
     Without a degree_cap a piecewise-linear weight keeps every exponent
     up to max(DEFAULT_DEGREE_CAP[min(n, 2)], 2 ceil(m p)), p the largest axis
     intercept of its Newton polyhedron, so that the least admissible
-    pure power of each coordinate is in the basis.
+    pure power of each coordinate is in the basis.  A basis of more than
+    MAX_BASIS_EXPONENTS candidate exponents, (cap + 1)^n, raises
+    ValueError before any work.
     """
     if m < 1:
         raise ValueError("m must be a positive integer")
@@ -131,15 +134,17 @@ def basis_norms(u, m: int, degree_cap: int | None = None, dim: int | None = None
     if n < dimension_of(u):
         raise ValueError(f"weight references {dimension_of(u)} coordinates, basis has {n}")
     gens = _pl_generators(u, n)
+    if gens is None and n not in (1, 2):
+        raise ValueError("basis construction supports dimensions 1 and 2 only")
+    if degree_cap is None:
+        degree_cap = DEFAULT_DEGREE_CAP[n] if gens is None else _pl_degree_cap(gens, m, n)
+    if (degree_cap + 1) ** n > MAX_BASIS_EXPONENTS:
+        raise ValueError(f"{degree_cap + 1}^{n} basis exponents exceed the limit of {MAX_BASIS_EXPONENTS}")
     if gens is None:
-        if n not in (1, 2):
-            raise ValueError("basis construction supports dimensions 1 and 2 only")
-        cap = DEFAULT_DEGREE_CAP[n] if degree_cap is None else degree_cap
-        entries = _quadrature_norms(u, m, cap, n)
+        entries = _quadrature_norms(u, m, degree_cap, n)
     else:
-        cap = _pl_degree_cap(gens, m, n) if degree_cap is None else degree_cap
-        entries = [(a, (2.0 * math.pi) ** n * float(c)) for a, c in _exact_norms(gens, m, cap, n)]
-    return ApproxBasis(m=m, degree_cap=cap, entries=tuple(entries), u_ref=u, dimension=n)
+        entries = [(a, (2.0 * math.pi) ** n * float(c)) for a, c in _exact_norms(gens, m, degree_cap, n)]
+    return ApproxBasis(m=m, degree_cap=degree_cap, entries=tuple(entries), u_ref=u, dimension=n)
 
 
 def _pl_generators(u, n: int) -> list[Vec] | None:
@@ -169,10 +174,7 @@ def _pl_degree_cap(gens: list[Vec], m: int, n: int) -> int:
     The intercept on axis k is the least pure generator p e_k; axes that
     carry none are ignored.
     """
-    intercepts = [
-        J[k] for J in gens for k in range(n)
-        if J[k] > 0 and all(x == 0 for i, x in enumerate(J) if i != k)
-    ]
+    intercepts = [max(J) for J in gens if sum(x > 0 for x in J) == 1]
     return max(DEFAULT_DEGREE_CAP[min(n, 2)], 2 * math.ceil(m * max(intercepts, default=0)))
 
 
@@ -183,12 +185,12 @@ def _pl_cones(gens: list[Vec], n: int) -> list[tuple[list[tuple[int, ...]], Vec,
     The linearity cone of each hull vertex J and its extreme rays come
     from the double-description pass of `poly_geom._diagram`.  The cut of
     the cone at sum(s) = -1 is triangulated, and each simplex keeps the
-    primitive integer rays through its vertices.  `ExponentSet.of` would
-    reject a zero generator (u = 0 on s <= 0), whose row lam <= 0 leaves
-    the orthant as the one cone.
+    primitive integer rays through its vertices.  A zero generator
+    (u = 0 on s <= 0) has the row lam <= 0, which leaves the orthant as
+    the one cone.
     """
     cones = []
-    for J, rays in _diagram(ExponentSet(n, tuple(sorted(set(gens)))))[1]:
+    for J, rays in _diagram(sorted(set(gens)), n)[1]:
         by_cut = {tuple(Fraction(x, -sum(v)) for x in v): v for v in rays}
         for simplex in triangulate(list(by_cut)):
             V = [by_cut[p] for p in simplex]
@@ -207,12 +209,8 @@ def _exact_norms(gens: list[Vec], m: int, degree_cap: int, n: int):
         (det, [([-2 * x for x in v], 2 * m * dot(J, v) - 2 * sum(v)) for v in rays])
         for rays, J, det in _pl_cones(gens, n)
     ]
-    entries = []
-    for alpha in product(range(degree_cap + 1), repeat=n):
-        c = _cone_integral(cones, alpha)
-        if c is not None:
-            entries.append((alpha, c))
-    return entries
+    alphas = product(range(degree_cap + 1), repeat=n)
+    return [(a, c) for a in alphas if (c := _cone_integral(cones, a)) is not None]
 
 
 def _cone_integral(cones, alpha) -> Fraction | None:
@@ -255,9 +253,7 @@ def _quadrature_norms(u, m: int, degree_cap: int, n: int):
     shells, nodes = (48, 32) if n == 1 else (36, 16)
     s, wts, shell_id = _radial_log_grid(shells, 1.0, nodes)
     if n == 1:
-        t_axes = (s,)
-        grid_w = wts
-        ring = shell_id
+        t_axes, grid_w, ring = (s,), wts, shell_id
     else:
         t_axes = (s[:, None], s[None, :])
         grid_w = wts[:, None] * wts[None, :]
@@ -317,15 +313,18 @@ def sandwich_check(u, m_list: Sequence[int], degree_cap: int | None = None,
     Lower bound: u(z) - C1/m <= u_m(z).  Upper bound: u_m(z) bounded by
     the sup of u on the polydisk of radius r around z plus
     (1/m) log(C2 / prod r_k).  Passes when finite constants exist and
-    stay within a factor of two across the levels in m_list.
+    stay within a factor of two across the levels in m_list.  The bases
+    are built before the 6^n default sample points, which are limited too.
     """
     n = dim if dim is not None else dimension_of(u)
+    bases = [(m, basis_norms(u, m, degree_cap, dim=n)) for m in m_list]
     if sample_points is None:
+        if 6**n > MAX_BASIS_EXPONENTS:
+            raise ValueError(f"6^{n} default sample points exceed the limit of {MAX_BASIS_EXPONENTS}")
         sample_points = list(product([0.05, 0.15, 0.3, 0.5, 0.7, 0.85], repeat=n))
     c1_by_m = {}
     c2_by_m = {}
-    for m in m_list:
-        basis = basis_norms(u, m, degree_cap, dim=n)
+    for m, basis in bases:
         c1 = 0.0
         log_c2 = -math.inf
         for z in sample_points:

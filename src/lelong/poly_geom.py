@@ -128,36 +128,36 @@ def _check_axes(S: ExponentSet) -> None:
             raise DegenerateIndicatorError(k + 1)
 
 
-def _diagram(S: ExponentSet) -> tuple[
+def _diagram(points: Sequence[Vec], n: int) -> tuple[
     list[tuple[Vec, tuple[Vec, ...]]], list[tuple[Vec, list[tuple[int, ...]]]]
 ]:
-    """One double-description pass over the sublevel polyhedron of S.
+    """One double-description pass over the sublevel polyhedron of the points.
 
-    The rows over (t, lam) are the orthant t_k <= 0, -lam <= 0, which
-    starts the pass, and <J, t> + lam <= 0 for each generator.  Returns
-    the sorted vertices t0, each with its dual face (the hull vertices J
-    with <J, t0> = -1), and the fan of f: each hull vertex J of
-    conv(S) + R_+^n with the t-parts of the rays active on its row.  The
-    hull vertices are the generators whose constraint is a facet, i.e.
-    has incident rays of rank n: by Farkas, exactly the J that alone
-    attain the max at some strictly negative t.  Their rays (vertices,
-    lam > 0, and directions -e_k with J_k = 0, lam = 0) are the extreme
-    rays of the linearity cone {t <= 0 : f(t) = <J, t>}, and these cones
-    tile the orthant.  No axis check is made here, since bounded faces
-    exist even when an axis direction is unblocked.
+    The points J are distinct, with coordinates >= 0; the zero vector is
+    allowed.  The rows over (t, lam) are the orthant t_k <= 0, -lam <= 0,
+    which starts the pass, and <J, t> + lam <= 0 for each J.  Returns the
+    sorted vertices t0, each with its dual face (the hull vertices J with
+    <J, t0> = -1), and the fan of f: each hull vertex J of conv(J) + R_+^n
+    with the t-parts of the rays active on its row.  The hull vertices
+    are the J whose constraint is a facet, i.e. has incident rays of
+    rank n: by Farkas, exactly the J that alone attain the max at some
+    strictly negative t.  Their rays (vertices, lam > 0, and directions
+    -e_k with J_k = 0, lam = 0) are the extreme rays of the linearity
+    cone {t <= 0 : f(t) = <J, t>}, and these cones tile the orthant.  No
+    axis check is made here, since bounded faces exist even when an axis
+    direction is unblocked.
     """
-    n = S.dimension
     orthant = [[(-1 if k == n else 1) * int(i == k) for i in range(n + 1)] for k in range(n + 1)]
-    rays = double_description(orthant + [list(J) + [1] for J in S.points], n + 1)
-    active = [[ray for ray, act in rays if n + 1 + j in act] for j in range(len(S.points))]
+    rays = double_description(orthant + [list(J) + [1] for J in points], n + 1)
+    active = [[ray for ray, act in rays if n + 1 + j in act] for j in range(len(points))]
     hull = [j for j, on in enumerate(active) if len(eliminate(on)[1]) == n]
     vertices = sorted(
         (tuple(Fraction(x, ray[n]) for x in ray[:n]),
-         tuple(S.points[j] for j in hull if n + 1 + j in act))
+         tuple(points[j] for j in hull if n + 1 + j in act))
         for ray, act in rays
         if ray[n] > 0
     )
-    return vertices, [(S.points[j], [ray[:n] for ray in active[j]]) for j in hull]
+    return vertices, [(points[j], [ray[:n] for ray in active[j]]) for j in hull]
 
 
 def sublevel_vertices(S: ExponentSet) -> SublevelPolyhedron:
@@ -168,7 +168,7 @@ def sublevel_vertices(S: ExponentSet) -> SublevelPolyhedron:
     which pins the max at exactly -1.
     """
     _check_axes(S)
-    verts = tuple(t0 for t0, _ in _diagram(S)[0])
+    verts = tuple(t0 for t0, _ in _diagram(S.points, S.dimension)[0])
     for t0 in verts:
         assert S.support_value(t0) == -1, f"vertex {t0} off the level set"
     return SublevelPolyhedron(extreme_points=verts)
@@ -180,7 +180,7 @@ def dominated_hull(S: ExponentSet) -> NewtonDiagramStruct:
     The bounded faces are the dual faces of the strictly negative
     vertices of the sublevel polyhedron.
     """
-    vertices, fan = _diagram(S)
+    vertices, fan = _diagram(S.points, S.dimension)
     return NewtonDiagramStruct(
         generators=S,
         hull_vertices=tuple(J for J, _ in fan),
@@ -196,7 +196,7 @@ def dual_face(S: ExponentSet, t0: Sequence) -> tuple[Vec, ...]:
     """Hull vertices lying on the supporting hyperplane <a, t0> = -1."""
     t0v = vec(t0)
     _check_axes(S)
-    faces = dict(_diagram(S)[0])
+    faces = dict(_diagram(S.points, S.dimension)[0])
     if t0v not in faces:
         raise ValueError(f"{t0v} is not an extreme point of the sublevel polyhedron")
     return faces[t0v]
@@ -223,7 +223,7 @@ def gamma_measure(S: ExponentSet) -> GammaMeasure:
     """
     _check_axes(S)
     atoms = []
-    for t0, face in _diagram(S)[0]:
+    for t0, face in _diagram(S.points, S.dimension)[0]:
         mass = cone_volume(face, S.dimension)
         if mass > 0:
             atoms.append((t0, mass))

@@ -496,6 +496,52 @@ def test_ops_that_take_the_dimension_get_the_problem_dimension():
     assert quadrature["error"] == "ValueError: basis construction supports dimensions 1 and 2 only"
 
 
+def test_oversized_bergman_tasks_are_task_errors():
+    # 9^12 exponents for a default basis of log|z1| in C^12, 6^12 default
+    # sample points for a one-entry basis; each is refused before any work,
+    # and the other tasks of the run still report
+    problem = {
+        "dimension": 12,
+        "objects": {
+            "w": {"kind": "expr", "expr": {"node": "coord_log", "axis": 1}},
+            "v": {"kind": "expr", "expr": {"node": "neg_pow_log", "axis": 1, "power": "1/2"}},
+            "phi": {"kind": "monomial_weight", "exponents": [[int(i == k) for i in range(12)] for k in range(12)]},
+        },
+        "tasks": [
+            {"op": "sandwich_check", "u": "w", "m_list": [1]},
+            {"op": "sandwich_check", "u": "v", "m_list": [1]},
+            {"op": "sandwich_check", "u": "w", "m_list": [1], "degree_cap": 0},
+            {"op": "lelong_bounds_check", "u": "w", "phi": "phi", "m_list": [1]},
+            {"op": "tau", "phi": "phi", "k": 12},
+        ],
+    }
+    pl, quadrature, points, bounds, tau = execute(parse_problem(problem)).tasks
+    assert pl["error"] == "ValueError: 9^12 basis exponents exceed the limit of 65536"
+    assert quadrature["error"] == "ValueError: basis construction supports dimensions 1 and 2 only"
+    assert points["error"] == "ValueError: 6^12 default sample points exceed the limit of 65536"
+    assert bounds["error"] == pl["error"]
+    assert tau["status"] == "ok" and tau["result"]["value"] == "1"
+
+
+def test_huge_scale_factor_is_a_task_error():
+    # the slope 1e12 asks for a default cap of 2e12 + 2 exponents per axis
+    huge = {"kind": "expr", "expr": {"node": "scale", "factor": 1e12,
+                                     "child": {"node": "coord_log", "axis": 1}}}
+    rec = _run_one({"op": "sandwich_check", "u": "huge", "m_list": [1]}, {"huge": huge})
+    assert rec["error"] == "ValueError: 2000000000001^2 basis exponents exceed the limit of 65536"
+
+
+@pytest.mark.parametrize("factor, got", [(float("inf"), "Infinity"), (float("-inf"), "-Infinity"),
+                                         (float("nan"), "NaN")])
+def test_non_finite_scale_factor_is_a_parse_error(factor, got):
+    problem = minimal_problem()
+    problem["objects"]["s"] = {"kind": "expr", "expr": {
+        "node": "max", "children": [{"node": "scale", "factor": factor,
+                                     "child": {"node": "coord_log", "axis": 1}}]}}
+    assert _parse_error(problem) == (
+        f"objects.s.expr.children[0].factor: expected a finite number, got {got}")
+
+
 # ---------------------------------------------------------------------------
 # the README's op table
 

@@ -418,6 +418,26 @@ def test_default_degree_cap_three_variables():
     assert basis_norms(u, 2, dim=3).degree_cap == 12
 
 
+def test_basis_and_sample_point_limits(monkeypatch):
+    import lelong.demailly as demailly
+
+    monkeypatch.setattr(demailly, "MAX_BASIS_EXPONENTS", 81)
+    assert len(basis_norms(max_log(), 1, degree_cap=8, dim=2).entries) == 81
+    with pytest.raises(ValueError, match=r"^10\^2 basis exponents exceed the limit of 81$"):
+        basis_norms(max_log(), 1, degree_cap=9, dim=2)
+    with pytest.raises(ValueError, match=r"^82\^1 basis exponents exceed the limit of 81$"):
+        basis_norms(NegPowLog(1, F(1)), 1, degree_cap=81, dim=1)
+    # the default cap counts too: 2 ceil(3 * 3/2) = 10, so 11 exponents per axis
+    with pytest.raises(ValueError, match=r"^11\^2 basis exponents"):
+        basis_norms(MaxOf.of(Scale(F(3, 2), CoordLog(1)), CoordLog(2)), 3, dim=2)
+    monkeypatch.setattr(demailly, "MAX_BASIS_EXPONENTS", 36)
+    assert len(sandwich_check(log_z(), [1], degree_cap=0, dim=2).details["sample_points"]) == 36
+    with pytest.raises(ValueError, match=r"^6\^3 default sample points exceed the limit of 36$"):
+        sandwich_check(log_z(), [1], degree_cap=0, dim=3)
+    # explicit sample points are the caller's choice
+    assert sandwich_check(log_z(), [1], degree_cap=0, dim=3, sample_points=[(0.5, 0.5, 0.5)]).details
+
+
 def test_default_cap_bounds_check_steep_weight():
     u = MaxOf.of(Scale(F(4), CoordLog(1)), Scale(F(5, 2), CoordLog(2)))
     phi = ExponentSet.of([(0, 4), (2, 1), (4, 1), (5, 0)])
