@@ -4,18 +4,24 @@ Estimates the defining limits of classical, directional and generalized
 Lelong densities by torus and sphere means over a schedule of shrinking
 radii, applies the atomic boundary measure to arbitrary evaluable
 weights, and measures the one-variable mass of a weight restricted to a
-coordinate hyperplane.  Every torus, sphere and slice mean goes through
-one reduction, `_grid_mean`, which also enforces MAX_GRID_POINTS; the
-swept-measure value and each level of the generalized estimate are one
-atom sum, `_swept_stats`.
+coordinate hyperplane.  Every quadrature grid goes through one
+reduction, `_grid_mean`, which also enforces MAX_GRID_POINTS on the
+nominal grid of the mean; the swept-measure value and each level of the
+generalized estimate are one atom sum, `_swept_stats`.
+
+A torus mean of a bare or scaled `PolyLog` needs no grid where one term
+of a Newton-diagram vertex dominates the others (`_dominant_mean`):
+there the mean is that term's log-modulus, exactly.  A sphere mean takes
+that closed form on each radial row where it holds and sends the other
+rows through one `_grid_mean`.
 
 Determinism contract: fixed node grids and an exact sum, so identical
 inputs produce bitwise-identical outputs.  A grid is evaluated in chunks,
 concurrently on up to one thread per available CPU, with at most 2^18
 points in flight; each chunk is reduced to exact bucket sums, and one
-math.fsum over the buckets of all chunks equals math.fsum of all the
-grid values.  No mean depends on the chunking, the thread count or the
-order in which chunks finish.
+math.fsum over the buckets of all chunks and the closed-form rows equals
+math.fsum of all the values.  No mean depends on the chunking, the
+thread count or the order in which chunks finish.
 """
 
 from __future__ import annotations
@@ -23,12 +29,13 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
 
-from .poly_geom import ExponentSet, gamma_measure
-from .weights import depends_on_theta, torus_values
+from .poly_geom import ExponentSet, _diagram, gamma_measure
+from .weights import PolyLog, Scale, _log_rows, _peak_shift, depends_on_theta, torus_values
 
 __all__ = [
     "CLIP_FLOOR",
@@ -52,8 +59,14 @@ CLIP_FLOOR = -1.0e6
 _CLIP_REJECT_FRACTION = 0.01
 
 # Largest quadrature grid one mean may cover: 2^24 points.  This caps the
-# work of one mean; larger grids fail before any evaluation.
+# work of one mean; larger grids fail before any evaluation, also where a
+# closed form would leave part of the grid or all of it unbuilt.
 MAX_GRID_POINTS = 2**24
+
+# Relative margin of the dominance test of `_dominant_mean`.  The row
+# log-amplitudes and their shifted exps are computed to a few ulp of the
+# magnitudes involved, far inside 1e-12 of them.
+_DOMINANCE_MARGIN = 1e-12
 
 # Points evaluated at once: 2^18, 4 MiB per complex128 array.
 _CHUNK_POINTS = 2**18
@@ -198,6 +211,17 @@ def _take(x, box: tuple[slice, ...]):
     return a[tuple(s if n > 1 else slice(None) for s, n in zip(box, a.shape))]
 
 
+def _repeat_parts(values: np.ndarray, count: int) -> list[float]:
+    """Floats whose math.fsum equals math.fsum of each value repeated count times.
+
+    For count <= 2^26: hi (a value with its low 27 mantissa bits cleared)
+    has at most 26 significant bits and lo = value - hi at most 27, so
+    both products with count are exact.
+    """
+    hi = (values.view(np.uint64) & ~np.uint64(2**27 - 1)).view(np.float64)
+    return (hi * count).tolist() + ((values - hi) * count).tolist()
+
+
 def _cpus() -> int:
     """CPUs this process may run on."""
     try:
@@ -206,13 +230,21 @@ def _cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _grid_mean(w, t, theta, shape, floor: float):
+def _check_grid(total: int) -> None:
+    if total > MAX_GRID_POINTS:
+        raise ValueError(f"quadrature grid of {total} points exceeds the limit of {MAX_GRID_POINTS}")
+
+
+def _grid_mean(w, t, theta, shape, floor: float, known=((), 1)):
     """(mean, clipped, total) of w clipped at floor over the broadcast grid.
 
-    A grid of more than MAX_GRID_POINTS points raises ValueError before
-    anything is evaluated.  theta may be a function of no arguments that
-    gives the angle arrays; it is called only for a grid under the cap,
-    so that an oversized grid allocates nothing.
+    known = (values, points) adds rows outside shape whose mean is known
+    in closed form: each value stands for points grid points of that
+    value.  They count in the total and the clip count, and join the one
+    fsum exactly.  A total of more than MAX_GRID_POINTS points raises
+    ValueError before anything is evaluated.  theta may be a function of
+    no arguments that gives the angle arrays; it is called only for a
+    grid under the cap, so that an oversized grid allocates nothing.
 
     Evaluates the grid in chunks on min(CPUs, ceil(points /
     _CHUNK_POINTS)) threads, each chunk of at most _CHUNK_POINTS //
@@ -223,12 +255,13 @@ def _grid_mean(w, t, theta, shape, floor: float):
     thread count or the order in which chunks finish.  An exception in
     a chunk cancels the chunks not yet started and re-raises here.
     """
-    total = math.prod(shape)
-    if total > MAX_GRID_POINTS:
-        raise ValueError(f"quadrature grid of {total} points exceeds the limit of {MAX_GRID_POINTS}")
+    values, points = np.asarray(known[0], dtype=float), known[1]
+    grid = math.prod(shape)
+    total = grid + values.size * points
+    _check_grid(total)
     if callable(theta):
         theta = theta()
-    workers = min(_cpus(), -(-total // _CHUNK_POINTS))
+    workers = max(1, min(_cpus(), -(-grid // _CHUNK_POINTS)))
 
     def chunk(box):
         sub = tuple(len(range(*s.indices(n))) for s, n in zip(box, shape))
@@ -254,29 +287,88 @@ def _grid_mean(w, t, theta, shape, floor: float):
             finally:
                 for f in pending:
                     f.cancel()
+    results.append((points * int(np.count_nonzero(values < floor)),
+                    _repeat_parts(np.maximum(values, floor), points)))
     mean = math.fsum(p for _, parts in results for p in parts) / total
     return mean, sum(c for c, _ in results), total
+
+
+@lru_cache(maxsize=1024)
+def _vertex_rows(exponents: tuple[tuple[int, ...], ...]) -> np.ndarray:
+    """Which rows J of exponents are vertices of conv(J) + R_+^n."""
+    hull = {J for J, _ in _diagram(exponents, len(exponents[0]))[1]}
+    rows = np.array([J in hull for J in exponents])
+    rows.flags.writeable = False
+    return rows
+
+
+def _dominant_mean(w, t, floor: float):
+    """Exact torus means of a bare or scaled PolyLog, NaN where a grid is needed.
+
+    None when w is no such weight; otherwise an array over the broadcast
+    shape of t.  With g_j = log|c_j| + <J_j, t> and peak = g_k their
+    maximum, a point is accepted when J_k is a vertex of conv(J) + R_+^n
+    and s = sum_j exp(g_j - peak) < 2, less a margin for rounding.  Its
+    mean is then peak, times the scale factors.
+
+    Proof.  On the torus, log|P| = g_k + Re log(1 + h) with h = sum_(j !=
+    k) (c_j / c_k) z^(J_j - J_k), and |h| <= s - 1 < 1, so the series
+    Re sum_m (-1)^(m+1) h^m / m converges uniformly and its mean is the
+    sum of the constant terms of the h^m.  A vertex J_k has a strict
+    separating functional a: <a, J_j - J_k> > 0 for every j != k.  Each
+    monomial of h^m is a sum of m such differences, so no monomial is
+    constant, and every mean vanishes.
+
+    The floor is decided on the bounds g_k + log(2 - s) <= log|P| <=
+    g_k + log(s): a point where it would clip some nodes of the torus
+    but not all is sent to the grid.
+    """
+    factor = 1.0
+    while isinstance(w, Scale):
+        factor *= float(w.factor)
+        w = w.child
+    if not isinstance(w, PolyLog) or len(w.terms[0][1]) > len(t):
+        return None
+    exponents = tuple(J for _, J in w.terms)
+    log_c = np.array([math.log(abs(c)) for c, _ in w.terms])
+    g = _log_rows(log_c, np.array(exponents, dtype=float), t)
+    peak, shifted = _peak_shift(g)
+    s = shifted.sum(axis=0)
+    margin = _DOMINANCE_MARGIN * (len(exponents) + len(t) * (np.abs(peak) + np.abs(log_c).max()))
+    with np.errstate(invalid="ignore", divide="ignore"):
+        low, high = factor * (peak + np.log(2.0 - s)), factor * (peak + np.log(s))
+        accept = _vertex_rows(exponents)[g.argmax(axis=0)] & (s < 2.0 - margin)
+        accept &= (low >= floor) | (high < floor)
+    return np.where(accept, factor * peak, np.nan)
 
 
 def _torus_stats(w, t: Sequence[float], nodes: int):
     n = len(t)
     t = tuple(float(x) for x in t)
-    if depends_on_theta(w):
-        return _grid_mean(w, t, lambda: _theta_grids(n, nodes), (nodes,) * n, CLIP_FLOOR)
-    # theta-independent weight: one node represents the whole torus
-    val = float(torus_values(w, t, tuple(0.0 for _ in t)))
     total = nodes**n
+    if not depends_on_theta(w):
+        # theta-independent weight: one node represents the whole torus
+        val = torus_values(w, t, (0.0,) * n)
+    else:
+        _check_grid(total)
+        val = _dominant_mean(w, t, CLIP_FLOOR)
+        if val is None or np.isnan(val):
+            return _grid_mean(w, t, lambda: _theta_grids(n, nodes), (nodes,) * n, CLIP_FLOOR)
     if val < CLIP_FLOOR:
         return CLIP_FLOOR, total, total
-    return val, 0, total
+    return float(val), 0, total
 
 
 def torus_mean(w, t: Sequence[float], nodes: int) -> float:
-    """Mean of w over the torus |z_k| = exp(t_k), equispaced tensor quadrature.
+    """Mean of w over the torus |z_k| = exp(t_k): closed form or tensor quadrature.
 
-    Values below CLIP_FLOOR (including -inf) are clipped at CLIP_FLOOR; the
+    Where one Newton-vertex term of a bare or scaled polynomial log
+    dominates, the mean is that term's log-modulus (the Ronkin function
+    is affine there) and no grid is built.  Otherwise values below
+    CLIP_FLOOR (including -inf) are clipped at CLIP_FLOOR; the
     log-singularities this tames are integrable, so the bias is below
-    the schedule tolerances at 64+ nodes per angle.
+    the schedule tolerances at 64+ nodes per angle.  The grid cap
+    applies to the nominal nodes**n grid either way.
     """
     if any(x >= 0 for x in t):
         raise ValueError("torus radii must satisfy t_k < 0")
@@ -326,15 +418,26 @@ def _sphere_stats(w, r: float, nodes: int, dim: int, radial_nodes: int | None = 
         radial_nodes = 64 if n == 2 else 16
     profiles = _equal_area_log_profiles(n, radial_nodes)
     t = tuple(r + p for p in profiles)
-    if depends_on_theta(w):
-        # the radial axes, then one angle axis per coordinate
-        return _grid_mean(w, t, lambda: _theta_grids(n, nodes, profiles[0].ndim),
-                          profiles[0].shape[:-n] + (nodes,) * n, CLIP_FLOOR)
-    return _grid_mean(w, t, (0.0,) * n, profiles[0].shape, CLIP_FLOOR)
+    if not depends_on_theta(w):
+        return _grid_mean(w, t, (0.0,) * n, profiles[0].shape, CLIP_FLOOR)
+    # one n-torus per radial node: closed forms where they hold, and one
+    # grid of a radial axis and n angle axes for the other rows
+    rows = math.prod(profiles[0].shape[:-n])
+    t = tuple(x.reshape((rows,) + (1,) * n) for x in t)
+    means = _dominant_mean(w, t, CLIP_FLOOR)
+    means = np.full(rows, np.nan) if means is None else means.reshape(rows)
+    grid = np.isnan(means)
+    return _grid_mean(w, tuple(x[grid] for x in t), lambda: _theta_grids(n, nodes, n + 1),
+                      (int(grid.sum()),) + (nodes,) * n, CLIP_FLOOR, known=(means[~grid], nodes**n))
 
 
 def sphere_mean(w, r: float, nodes: int, dim: int, radial_nodes: int | None = None) -> float:
-    """Mean of w over the sphere |z| = exp(r) in C^dim (uniform measure)."""
+    """Mean of w over the sphere |z| = exp(r) in C^dim (uniform measure).
+
+    An equal-area product rule: one n-torus per radial node.  Each torus
+    takes the closed form of `torus_mean` where it holds, and the others
+    share one grid, with the cap on the nominal grid.
+    """
     mean, _, _ = _sphere_stats(w, r, nodes, dim, radial_nodes)
     return mean
 

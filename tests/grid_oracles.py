@@ -14,6 +14,7 @@ import math
 
 import numpy as np
 
+from lelong import numeric_oracle
 from lelong.numeric_oracle import CLIP_FLOOR
 from lelong.weights import PolyLog
 
@@ -124,3 +125,11 @@ def slice_mean_ref(w: PolyLog, axis: int, r: float, nodes: int) -> float:
     t[axis - 1] = -np.inf
     theta[axis - 1] = 0.0
     return fsum_mean(polylog_values_exp(w, t, theta), (nodes,))
+
+
+def sphere_grid_rows(w, r: float, n: int, radial_nodes: int) -> int:
+    """Radial rows of a sphere level that the closed form does not take."""
+    profiles = numeric_oracle._equal_area_log_profiles(n, radial_nodes)
+    rows = math.prod(profiles[0].shape[:-n])
+    t = tuple((r + p).reshape((rows,) + (1,) * n) for p in profiles)
+    return int(np.isnan(numeric_oracle._dominant_mean(w, t, CLIP_FLOOR)).sum())

@@ -89,9 +89,24 @@ TREE = MaxOf.of(W2, Scale(F(3, 2), CoordLog(1)))
 SCHED = RadialSchedule(levels=(-5.0, -10.0, -20.0), angular_nodes=64)
 SLICE_W = PolyLog.of([(1, (0, 2)), (-0.25, (1, 1)), (2, (0, 5))])
 
+
+def torus_grid(w, t, nodes: int):
+    """(mean, clipped, total) of the whole torus grid, with no closed form."""
+    n = len(t)
+    return numeric_oracle._grid_mean(w, t, numeric_oracle._theta_grids(n, nodes), (nodes,) * n, CLIP_FLOOR)
+
+
+def sphere_grid(w, r: float, nodes: int, n: int, radial: int):
+    """(mean, clipped, total) of the whole sphere grid, with no closed form."""
+    profiles = numeric_oracle._equal_area_log_profiles(n, radial)
+    return numeric_oracle._grid_mean(
+        w, tuple(r + p for p in profiles), numeric_oracle._theta_grids(n, nodes, profiles[0].ndim),
+        profiles[0].shape[:-n] + (nodes,) * n, CLIP_FLOOR)
+
+
 # name -> (means under the current chunk budget, grid shape)
 CHUNK_CASES = {
-    "torus 2-D": (lambda: [torus_mean(W2, (-1.0, -2.0), 64)], (64, 64)),
+    "torus 2-D": (lambda: [torus_grid(W2, (-1.0, -2.0), 64)[0]], (64, 64)),
     "torus 3-D": (lambda: [torus_mean(W3, (-1.0, -2.0, -0.5), 64)], (64, 64, 64)),
     "torus tree": (lambda: [torus_mean(TREE, (-3.0, -1.0), 64)], (64, 64)),
     "sphere 2-D": (lambda: [sphere_mean(W2, -3.0, 64, 2)], (64, 64, 64)),
@@ -150,12 +165,14 @@ CLIPPING = Scale(F(500000), PolyLog.of([(1, (1, 0)), (1, (0, 1))]))
 
 # name -> ((mean, clipped, total) of every grid the case evaluates, grid size)
 WORKER_CASES = {
-    "torus 2-D": (lambda: [numeric_oracle._torus_stats(W2, (-1.0, -2.0), 64)], 64**2),
+    "torus 2-D": (lambda: [torus_grid(W2, (-1.0, -2.0), 64)], 64**2),
     "torus 3-D": (lambda: [numeric_oracle._torus_stats(W3, (-1.0, -2.0, -0.5), 32)], 32**3),
     "torus tree": (lambda: [numeric_oracle._torus_stats(TREE, (-3.0, -1.0), 64)], 64**2),
     "torus clipped": (lambda: [numeric_oracle._torus_stats(CLIPPING, (-1.0, -1.0), 64)], 64**2),
-    "sphere 2-D": (lambda: [numeric_oracle._sphere_stats(W2, -3.0, 64, 2, radial_nodes=16)],
-                   16 * 64**2),
+    "sphere 2-D": (lambda: [sphere_grid(W2, -3.0, 64, 2, 16)], 16 * 64**2),
+    # 14 of the 16 radial rows take the closed form, 2 go to the grid
+    "sphere mixed rows": (lambda: [numeric_oracle._sphere_stats(W2, -3.0, 64, 2, radial_nodes=16)],
+                          2 * 64**2),
     "sphere 3-D": (lambda: [numeric_oracle._sphere_stats(W3, -2.0, 16, 3, radial_nodes=4)],
                    4**2 * 16**3),
     "sphere clipped": (lambda: [numeric_oracle._sphere_stats(CLIPPING, -1.0, 64, 2, radial_nodes=16)],
@@ -203,6 +220,8 @@ def test_stats_do_not_depend_on_workers(monkeypatch, name):
         pools.clear()
     if "clipped" in name:
         assert 0 < reference[0][1] < reference[0][2]
+    if "mixed" in name:
+        assert grid_oracles.sphere_grid_rows(W2, -3.0, 2, 16) == 2
 
 
 class CachedWeight:
@@ -304,20 +323,22 @@ def _random_polylog(rng: random.Random, n: int, terms: int) -> PolyLog:
 
 @pytest.mark.parametrize("n", [2, 3])
 def test_means_match_whole_grid_reference(n):
+    # the grids themselves: torus_mean and sphere_mean take closed forms
+    # where one Newton-vertex term dominates (tests/test_dominant_mean.py)
     rng = random.Random(50 + n)
     nodes = 64
     for i in range(8):
         w = _random_polylog(rng, n, rng.randint(2, 4))
         t = tuple(-rng.uniform(0.1, 4.0) for _ in range(n))
-        got = torus_mean(w, t, nodes)
+        got = torus_grid(w, t, nodes)[0]
         assert got == pytest.approx(grid_oracles.torus_mean_ref(w, t, nodes), abs=1e-12)
         # an axis at -inf: the mean restricted to a coordinate hyperplane
         t_wall = (-math.inf,) + t[1:]
-        got = torus_mean(w, t_wall, nodes)
+        got = torus_grid(w, t_wall, nodes)[0]
         assert got == pytest.approx(grid_oracles.torus_mean_ref(w, t_wall, nodes), abs=1e-12)
         radial = 16 if n == 2 else 4
         r = -rng.uniform(0.5, 6.0)
-        got = sphere_mean(w, r, 32, n, radial_nodes=radial)
+        got = sphere_grid(w, r, 32, n, radial)[0]
         assert got == pytest.approx(grid_oracles.sphere_mean_ref(w, r, 32, n, radial), abs=1e-12)
 
 
