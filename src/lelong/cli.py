@@ -444,7 +444,7 @@ _OPS: dict[str, _Op] = {
     "generalized_lelong_exact": _Op(indicator_calculus, {"u": "exponent", **_PHI}, _value_record),
     "tau": _Op(indicator_calculus, {**_PHI, "k": "int"}, _value_record),
     "directional_lelong_numeric": _Op(numeric_oracle, {**_W, "a": "floats", **_SCHED},
-                                      _estimate_record),
+                                      _estimate_record, takes_dim=True),
     "classical_lelong_numeric": _Op(numeric_oracle, {**_W, **_SCHED}, _estimate_record,
                                     takes_dim=True),
     "generalized_lelong_numeric": _Op(numeric_oracle, {**_PHI, **_W, **_SCHED}, _estimate_record),
@@ -453,7 +453,7 @@ _OPS: dict[str, _Op] = {
     "slice_lelong": _Op(numeric_oracle, {**_W, "k": "int", **_SCHED}, _estimate_record,
                         takes_dim=True),
     "indicator_profile": _Op(numeric_oracle, {**_W, "directions": "float_rows", **_SCHED},
-                             _profile_record),
+                             _profile_record, takes_dim=True),
     "scaling_transform": _Op(weights, {**_W, "m": "int"},
                              lambda out, _: {"expr": _expr_record(out)}),
     "sandwich_check": _Op(demailly, {"u": "evaluable", "m_list": "ints", "degree_cap": "int"},

@@ -9,11 +9,19 @@ reduction, `_grid_mean`, which also enforces MAX_GRID_POINTS on the
 nominal grid of the mean; the swept-measure value and each level of the
 generalized estimate are one atom sum, `_swept_stats`.
 
-A torus mean of a bare or scaled `PolyLog` needs no grid where one term
-of a Newton-diagram vertex dominates the others (`_dominant_mean`):
-there the mean is that term's log-modulus, exactly.  A sphere mean takes
-that closed form on each radial row where it holds and sends the other
-rows through one `_grid_mean`.
+A torus mean of a bare or scaled `PolyLog` needs no grid where one of
+two closed forms holds (`_closed_mean`).  Where one term of a
+Newton-diagram vertex dominates the others, the mean is that term's
+log-modulus, exactly (`_dominant_mean`).  At the other points, a
+polynomial whose exponents lie on one line, J_j = base + e_j v (every
+binomial, every 2-D homogeneous polynomial), has the mean of a
+univariate polynomial q, which Jensen's formula gives from the roots of
+q (`_line_mean`).  Both accept a point only where the clip floor clips
+no node of its torus or every node, and the line form only where no
+root of q lies within a relative 1e-6 of its circle; lines of degree
+above _MAX_LINE_DEGREE keep the grid.  A sphere mean takes the closed
+forms on each radial row where they hold and sends the other rows
+through one `_grid_mean`.
 
 Determinism contract: fixed node grids and an exact sum, so identical
 inputs produce bitwise-identical outputs.  A grid is evaluated in chunks,
@@ -21,7 +29,10 @@ concurrently on up to one thread per available CPU, with at most 2^18
 points in flight; each chunk is reduced to exact bucket sums, and one
 math.fsum over the buckets of all chunks and the closed-form rows equals
 math.fsum of all the values.  No mean depends on the chunking, the
-thread count or the order in which chunks finish.
+thread count or the order in which chunks finish.  The roots of the
+line form come from LAPACK through numpy.roots, which gives identical
+bits for identical inputs on one numpy build; they are cached per
+term tuple.
 """
 
 from __future__ import annotations
@@ -67,6 +78,17 @@ MAX_GRID_POINTS = 2**24
 # log-amplitudes and their shifted exps are computed to a few ulp of the
 # magnitudes involved, far inside 1e-12 of them.
 _DOMINANCE_MARGIN = 1e-12
+
+# Largest degree of the one-variable polynomial of a rank-one PolyLog
+# that `_rank_one` factors: numpy.roots on its companion matrix takes
+# about 0.15 s at degree 256 and 1.1 s at 512 (2-core Xeon).  Higher
+# degrees keep the grid.
+_MAX_LINE_DEGREE = 256
+
+# Relative margin within which a root of `_line_mean` counts as lying
+# on its circle: far above the rounding of s and of simple roots, and
+# above the 3e-8 error of double roots from numpy.roots.
+_CIRCLE_MARGIN = 1e-6
 
 # Points evaluated at once: 2^18, 4 MiB per complex128 array.
 _CHUNK_POINTS = 2**18
@@ -302,6 +324,15 @@ def _vertex_rows(exponents: tuple[tuple[int, ...], ...]) -> np.ndarray:
     return rows
 
 
+def _unscale(w):
+    """(product of the scale factors around w, the weight inside them)."""
+    factor = 1.0
+    while isinstance(w, Scale):
+        factor *= float(w.factor)
+        w = w.child
+    return factor, w
+
+
 def _dominant_mean(w, t, floor: float):
     """Exact torus means of a bare or scaled PolyLog, NaN where a grid is needed.
 
@@ -323,10 +354,7 @@ def _dominant_mean(w, t, floor: float):
     g_k + log(s): a point where it would clip some nodes of the torus
     but not all is sent to the grid.
     """
-    factor = 1.0
-    while isinstance(w, Scale):
-        factor *= float(w.factor)
-        w = w.child
+    factor, w = _unscale(w)
     if not isinstance(w, PolyLog) or len(w.terms[0][1]) > len(t):
         return None
     exponents = tuple(J for _, J in w.terms)
@@ -342,6 +370,121 @@ def _dominant_mean(w, t, floor: float):
     return np.where(accept, factor * peak, np.nan)
 
 
+@dataclass(frozen=True)
+class _Line:
+    """A polynomial sum_j c_j z^(base + e_j v), read as z^base q(z^v)."""
+
+    base: np.ndarray  # exponent of the lowest term
+    v: np.ndarray  # generator of the lattice of exponent differences
+    degrees: np.ndarray  # e_j: 0 <= e_j <= deg q, gcd 1
+    log_c: np.ndarray  # log|c_j|
+    log_top: float  # log|c_j| of the term with e_j = deg q
+    log_roots: np.ndarray  # log|rho| over the roots of q
+
+
+@lru_cache(maxsize=1024)
+def _rank_one(terms: tuple[tuple[complex, tuple[int, ...]], ...]) -> _Line | None:
+    """The line through the exponents of a polynomial, with the roots of q.
+
+    None for one term, for exponent differences of rank 2 or more, for
+    deg q above _MAX_LINE_DEGREE, which is tested before any roots are
+    sought, and where a root modulus overflows or underflows.  The
+    arrays are read-only.
+    """
+    J0 = terms[0][1]
+    diffs = [tuple(a - b for a, b in zip(J, J0)) for _, J in terms]
+    d = next((D for D in diffs if any(D)), None)
+    if d is None:
+        return None
+    i = next(k for k, x in enumerate(d) if x)
+    # D lies on the line of d exactly when D * d_i = d * D_i
+    if any(x * d[i] != y * D[i] for D in diffs for x, y in zip(D, d)):
+        return None
+    g = math.gcd(*d)
+    k = [D[i] * g // d[i] for D in diffs]  # D = k * (d / g), exactly
+    low = min(k)
+    step = math.gcd(*(x - low for x in k))
+    degrees = [(x - low) // step for x in k]
+    if max(degrees) > _MAX_LINE_DEGREE:
+        return None
+    q = np.zeros(max(degrees) + 1, dtype=complex)
+    q[degrees] = [c for c, _ in terms]
+    with np.errstate(divide="ignore", over="ignore"):
+        log_roots = np.log(np.abs(np.roots(q[::-1])))
+    if not np.isfinite(log_roots).all():
+        return None
+    line = _Line(
+        base=np.array([a + low * x // g for a, x in zip(J0, d)], dtype=float),
+        v=np.array([step * x // g for x in d], dtype=float),
+        degrees=np.array(degrees, dtype=float),
+        log_c=np.array([math.log(abs(c)) for c, _ in terms]),
+        log_top=math.log(abs(q[-1])),
+        log_roots=log_roots,
+    )
+    for a in (line.base, line.v, line.degrees, line.log_c, line.log_roots):
+        a.flags.writeable = False
+    return line
+
+
+def _line_mean(w, t, floor: float):
+    """Exact torus means of a bare or scaled PolyLog of rank one, NaN where a grid is needed.
+
+    None when w is no such weight, or its line is over the degree limit;
+    otherwise an array over the broadcast shape of t.  The exponents lie
+    on one line, J_j = base + e_j v, so P(z) = z^base q(z^v) with q(x) =
+    sum_j c_j x^(e_j).  The character z -> z^v maps the Haar measure of
+    the torus onto that of the circle |x| = e^s, s = <v, t>, and Jensen's
+    formula gives the mean
+
+        A + log|c_top| + sum_rho max(s, log|rho|),   A = <base, t>,
+
+    over the roots rho of q (numpy.roots), times the scale factors.
+
+    The floor is decided on the bounds low <= log|P| <= high on the torus:
+    low = A + log|c_top| + sum_rho log|e^s - |rho||, from |x - rho| >=
+    ||x| - |rho||, and high = A + log sum_j |c_j| e^(e_j s), from the
+    triangle inequality.  A point is accepted when its mean is at least
+    the floor and low is too (no node clips), or when its mean is below
+    the floor and high is too (every node clips).  A root within
+    _CIRCLE_MARGIN (relative, times 1 + sum_k |v_k t_k| for the rounding
+    of s) of the circle counts as on it: low is -inf there, and only a
+    point where every node clips is accepted.
+    """
+    factor, w = _unscale(w)
+    if not isinstance(w, PolyLog) or len(w.terms[0][1]) > len(t):
+        return None
+    line = _rank_one(w.terms)
+    if line is None:
+        return None
+    A, s = _log_rows(np.zeros(2), np.stack([line.base, line.v]), t)
+    scale = _log_rows(np.zeros(1), np.abs(line.v)[None], [np.abs(x) for x in t])[0]
+    lead = A + line.log_top
+    with np.errstate(invalid="ignore", divide="ignore"):
+        top = np.maximum(s[..., None], line.log_roots)
+        gap = np.abs(s[..., None] - line.log_roots)
+        near = gap <= _CIRCLE_MARGIN * (1.0 + scale[..., None])
+        mean = factor * (lead + top.sum(axis=-1))
+        low = factor * (lead + np.where(near, -np.inf, top + np.log(-np.expm1(-gap))).sum(axis=-1))
+        peak, shifted = _peak_shift(_log_rows(line.log_c, line.degrees[:, None], (s,)))
+        high = factor * (A + peak + np.log(shifted.sum(axis=0)))
+        accept = np.where(mean >= floor, low >= floor, high < floor)
+    return np.where(accept, mean, np.nan)
+
+
+def _closed_mean(w, t, floor: float):
+    """Exact torus means where a closed form holds, NaN elsewhere; None for other weights.
+
+    `_dominant_mean` decides first; the points it leaves NaN take
+    `_line_mean` where the weight has one.
+    """
+    means = _dominant_mean(w, t, floor)
+    if means is not None and np.isnan(means).any():
+        line = _line_mean(w, t, floor)
+        if line is not None:
+            means = np.where(np.isnan(means), line, means)
+    return means
+
+
 def _torus_stats(w, t: Sequence[float], nodes: int):
     n = len(t)
     t = tuple(float(x) for x in t)
@@ -351,7 +494,7 @@ def _torus_stats(w, t: Sequence[float], nodes: int):
         val = torus_values(w, t, (0.0,) * n)
     else:
         _check_grid(total)
-        val = _dominant_mean(w, t, CLIP_FLOOR)
+        val = _closed_mean(w, t, CLIP_FLOOR)
         if val is None or np.isnan(val):
             return _grid_mean(w, t, lambda: _theta_grids(n, nodes), (nodes,) * n, CLIP_FLOOR)
     if val < CLIP_FLOOR:
@@ -364,7 +507,12 @@ def torus_mean(w, t: Sequence[float], nodes: int) -> float:
 
     Where one Newton-vertex term of a bare or scaled polynomial log
     dominates, the mean is that term's log-modulus (the Ronkin function
-    is affine there) and no grid is built.  Otherwise values below
+    is affine there) and no grid is built.  Elsewhere, a polynomial
+    whose exponents lie on one line takes Jensen's formula for the
+    univariate polynomial along it, unless a root lies on the circle
+    within the margin, the clip floor would cut through the values of
+    the torus, or the line is of degree above _MAX_LINE_DEGREE; the
+    roots are bit-reproducible on one numpy build.  Otherwise values below
     CLIP_FLOOR (including -inf) are clipped at CLIP_FLOOR; the
     log-singularities this tames are integrable, so the bias is below
     the schedule tolerances at 64+ nodes per angle.  The grid cap
@@ -424,7 +572,7 @@ def _sphere_stats(w, r: float, nodes: int, dim: int, radial_nodes: int | None = 
     # grid of a radial axis and n angle axes for the other rows
     rows = math.prod(profiles[0].shape[:-n])
     t = tuple(x.reshape((rows,) + (1,) * n) for x in t)
-    means = _dominant_mean(w, t, CLIP_FLOOR)
+    means = _closed_mean(w, t, CLIP_FLOOR)
     means = np.full(rows, np.nan) if means is None else means.reshape(rows)
     grid = np.isnan(means)
     return _grid_mean(w, tuple(x[grid] for x in t), lambda: _theta_grids(n, nodes, n + 1),
@@ -435,8 +583,10 @@ def sphere_mean(w, r: float, nodes: int, dim: int, radial_nodes: int | None = No
     """Mean of w over the sphere |z| = exp(r) in C^dim (uniform measure).
 
     An equal-area product rule: one n-torus per radial node.  Each torus
-    takes the closed form of `torus_mean` where it holds, and the others
-    share one grid, with the cap on the nominal grid.
+    takes a closed form of `torus_mean` where one holds (a dominant
+    vertex term, or Jensen's formula along a line of exponents, with
+    the same floor rule, margin and degree limit), and the others share
+    one grid, with the cap on the nominal grid.
     """
     mean, _, _ = _sphere_stats(w, r, nodes, dim, radial_nodes)
     return mean
@@ -489,9 +639,15 @@ def _sweep_levels(fn, sched: RadialSchedule, what: str) -> LimitEstimate:
     return LimitEstimate(value, stderr, tuple(usable_levels), diagnostics)
 
 
-def directional_lelong_numeric(w, a: Sequence[float], sched: RadialSchedule = DEFAULT_SCHEDULE) -> LimitEstimate:
-    """Estimate the directional density of w at the origin along a > 0."""
+def directional_lelong_numeric(w, a: Sequence[float], sched: RadialSchedule = DEFAULT_SCHEDULE,
+                               dim: int | None = None) -> LimitEstimate:
+    """Estimate the directional density of w at the origin along a > 0.
+
+    Where the ambient dimension dim is given, a has exactly dim entries.
+    """
     av = tuple(float(x) for x in a)
+    if dim is not None and len(av) != dim:
+        raise ValueError("direction dimension mismatch")
     if any(x <= 0 for x in av):
         raise ValueError("direction must be strictly positive")
 
@@ -613,13 +769,14 @@ def slice_lelong(w, axis: int, sched: RadialSchedule = DEFAULT_SCHEDULE, dim: in
 
 
 def indicator_profile(w, directions: Sequence[Sequence[float]],
-                      sched: RadialSchedule = DEFAULT_SCHEDULE) -> tuple[ProfileEntry, ...]:
+                      sched: RadialSchedule = DEFAULT_SCHEDULE,
+                      dim: int | None = None) -> tuple[ProfileEntry, ...]:
     """Directional estimates over a grid of directions; errors are per entry."""
     entries = []
     for a in directions:
         av = tuple(float(x) for x in a)
         try:
-            est = directional_lelong_numeric(w, av, sched)
+            est = directional_lelong_numeric(w, av, sched, dim)
             entries.append(ProfileEntry(av, est, None))
         except (ValueError, NonPshStarProbeError) as exc:
             entries.append(ProfileEntry(av, None, str(exc)))

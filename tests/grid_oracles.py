@@ -132,4 +132,27 @@ def sphere_grid_rows(w, r: float, n: int, radial_nodes: int) -> int:
     profiles = numeric_oracle._equal_area_log_profiles(n, radial_nodes)
     rows = math.prod(profiles[0].shape[:-n])
     t = tuple((r + p).reshape((rows,) + (1,) * n) for p in profiles)
-    return int(np.isnan(numeric_oracle._dominant_mean(w, t, CLIP_FLOOR)).sum())
+    return int(np.isnan(numeric_oracle._closed_mean(w, t, CLIP_FLOOR)).sum())
+
+
+def line_mean_ref(w: PolyLog, t, nodes: int) -> float:
+    """Torus mean of a PolyLog whose exponents lie on one line, by a 1-D rule.
+
+    With J_j = J_0 + k_j p for a primitive p, the map theta -> <p, theta>
+    carries the Haar measure of the torus onto the circle, so the mean
+    is that of log|sum_j c_j e^<J_j, t> e^(i k_j phi)| over nodes
+    equispaced angles phi, offset by one golden ratio, reduced by fsum.
+    """
+    J0 = w.terms[0][1]
+    diffs = [[a - b for a, b in zip(J, J0)] for _, J in w.terms]
+    d = next(D for D in diffs if any(D))
+    p = [x // math.gcd(*d) for x in d]
+    i = next(k for k, x in enumerate(p) if x)
+    ks = [D[i] // p[i] for D in diffs]
+    assert all([k * x for x in p] == D for k, D in zip(ks, diffs)), "exponents off one line"
+    logamps = np.array([math.log(abs(c)) + sum(j * x for j, x in zip(J, t) if j) for c, J in w.terms])
+    peak = logamps.max()
+    phi = angles(0, nodes)
+    acc = sum(math.exp(la - peak) * (c / abs(c)) * np.exp(1j * k * phi)
+              for (c, _), la, k in zip(w.terms, logamps, ks))
+    return peak + math.fsum(np.log(np.abs(acc)).tolist()) / nodes

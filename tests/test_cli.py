@@ -246,6 +246,32 @@ def test_main_run_oversized_grid_is_a_task_error(tmp_path, capsys):
     assert second["result"]["value"] == "30"
 
 
+def test_main_run_direction_of_the_wrong_length_is_a_task_error(tmp_path, capsys):
+    # too short used to fail with a bare IndexError, too long ran on a 256^3 grid
+    prob = {
+        "dimension": 2,
+        "objects": {"w": {"kind": "expr", "expr": {"node": "poly_log", "terms": [
+            {"coeff": [1, 0], "exponent": [2, 0]}, {"coeff": [1, 0], "exponent": [0, 3]}]}}},
+        "tasks": [
+            {"op": "directional_lelong_numeric", "w": "w", "a": [1]},
+            {"op": "directional_lelong_numeric", "w": "w", "a": [1, 1, 1]},
+            {"op": "indicator_profile", "w": "w", "directions": [[1], [1, 1], [1, 1, 1]]},
+        ],
+    }
+    path = tmp_path / "prob.json"
+    path.write_text(json.dumps(prob))
+    main(["run", str(path), "--format", "json"])
+    short, long, profile = json.loads(capsys.readouterr().out)["tasks"]
+    for task in (short, long):
+        assert task["status"] == "error"
+        assert task["error"] == "ValueError: direction dimension mismatch"
+    assert profile["status"] == "ok"
+    entries = profile["result"]["profile"]
+    assert [e["error"] for e in entries] == ["direction dimension mismatch", None,
+                                              "direction dimension mismatch"]
+    assert entries[1]["value"] == 2.0
+
+
 def test_report_names_the_file_by_its_base_name(tmp_path, capsys):
     blobs = []
     for folder in ("a", "a_much_longer_directory/nested"):

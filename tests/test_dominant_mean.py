@@ -38,6 +38,8 @@ def jensen_mean(coeffs: dict[int, complex], t: float) -> float:
 
 
 def test_one_variable_means_match_jensen():
+    # every point: the dominance test takes most of them, and the rank-one
+    # form of tests/test_line_mean.py the rest
     rng = random.Random(3)
     hits = 0
     for _ in range(3000):
@@ -47,11 +49,9 @@ def test_one_variable_means_match_jensen():
                   for j in support}
         w = PolyLog.of([(c, (j,)) for j, c in coeffs.items()])
         t = -rng.uniform(0.05, 4.0)
-        if not accepted(w, (t,)):
-            continue
-        hits += 1
+        hits += accepted(w, (t,))
         assert torus_mean(w, (t,), 64) == pytest.approx(jensen_mean(coeffs, t), abs=1e-12)
-    # the shortcut takes most points of this mix, so the check is not vacuous
+    # the dominance test takes most points of this mix, so its check is not vacuous
     assert 1500 < hits < 3000
 
 
@@ -91,7 +91,7 @@ def test_a_dominant_term_inside_the_polytope_is_rejected():
     want = jensen_mean({0: 1, 1: 3 * e, 2: e * e}, -1.0)
     assert want == pytest.approx(0.96242365, abs=1e-8)
     assert abs(want - math.log(3)) > 0.1
-    assert torus_mean(w, (-1.0,), 1024) == pytest.approx(want, abs=1e-9)
+    assert torus_mean(w, (-1.0,), 256) == pytest.approx(want, abs=1e-12)
 
 
 def test_exact_ties_are_rejected():
@@ -131,6 +131,7 @@ def test_clip_floor_on_closed_forms():
     # where the floor cuts through the values of the torus, the grid decides
     f = F(-CLIP_FLOOR)  # the mean is exactly the floor
     assert not accepted(Scale(f, w), t)
+    assert np.isnan(numeric_oracle._closed_mean(Scale(f, w), t, CLIP_FLOOR))
     mean, clipped, total = numeric_oracle._torus_stats(Scale(f, w), t, 64)
     assert 0 < clipped < total
 

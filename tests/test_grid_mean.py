@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 import grid_oracles
 from lelong import numeric_oracle
 from lelong.cli import ProblemFile, execute, run_selftest
-from lelong.poly_geom import ExponentSet
+from lelong.poly_geom import ExponentSet, gamma_measure
 from lelong.numeric_oracle import (
     CLIP_FLOOR,
     RadialSchedule,
@@ -163,6 +163,27 @@ def test_chunks_cover_the_grid_once():
 # values of 500000 (log|z1 + z2|) fall below the floor near the torus zeros
 CLIPPING = Scale(F(500000), PolyLog.of([(1, (1, 0)), (1, (0, 1))]))
 
+# z1^2 (1 + 4x + 3x^2) with x = z2 / z1, roots -1 and -1/3, against a
+# weight with atoms at s = log|x| = 1/2, 0 and -1/2 on the swept level
+# r = -3/2: a dominant vertex term, a root on the circle, and a point
+# between the roots where Jensen's formula applies
+SWEPT_W = PolyLog.of([(1, (2, 0)), (4, (1, 1)), (3, (0, 2))])
+SWEPT_GM = gamma_measure(ExponentSet.of([(0, 6), (1, 3), (3, 1), (6, 0)]))
+
+
+def swept_row_kinds():
+    """'dominant', 'line' or 'grid' for each atom of SWEPT_GM at r = -3/2."""
+    kinds = []
+    for t0, _ in SWEPT_GM.atoms:
+        t = numeric_oracle._atom_radii(t0, -1.5)
+        if not np.isnan(numeric_oracle._dominant_mean(SWEPT_W, t, CLIP_FLOOR)):
+            kinds.append("dominant")
+        else:
+            kinds.append("grid" if np.isnan(numeric_oracle._closed_mean(SWEPT_W, t, CLIP_FLOOR))
+                         else "line")
+    return kinds
+
+
 # name -> ((mean, clipped, total) of every grid the case evaluates, grid size)
 WORKER_CASES = {
     "torus 2-D": (lambda: [torus_grid(W2, (-1.0, -2.0), 64)], 64**2),
@@ -179,6 +200,8 @@ WORKER_CASES = {
                        16 * 64**2),
     "slice": (lambda: [(lv["mean"], lv["clipped"], lv["nodes"])
                        for lv in slice_lelong(SLICE_W, 1, SCHED).diagnostics["levels"]], 64),
+    # one atom of each kind: dominance, rank-one and grid rows
+    "swept mixed rows": (lambda: [numeric_oracle._swept_stats(SWEPT_GM, SWEPT_W, -1.5, 64)], 64**2),
 }
 
 
@@ -220,8 +243,10 @@ def test_stats_do_not_depend_on_workers(monkeypatch, name):
         pools.clear()
     if "clipped" in name:
         assert 0 < reference[0][1] < reference[0][2]
-    if "mixed" in name:
+    if name == "sphere mixed rows":
         assert grid_oracles.sphere_grid_rows(W2, -3.0, 2, 16) == 2
+    if name == "swept mixed rows":
+        assert sorted(swept_row_kinds()) == ["dominant", "grid", "line"]
 
 
 class CachedWeight:

@@ -204,9 +204,13 @@ def test_oversized_torus_and_slice_grids_fail():
     # angle would be 8 TiB each
     huge = RadialSchedule(angular_nodes=2**40)
     w2 = PolyLog.of([(1, (1, 0)), (1, (0, 1))])
+    # a homogeneous weight, whose tie along (1, 1) has a rank-one closed form
+    h3 = PolyLog.of([(1.6 - 0.7j, (5, 0)), (-1.4 + 0.5j, (0, 5)), (-0.2 + 1.3j, (1, 4))])
     for probe in (lambda: torus_mean(w2, (-1.0, -1.0), 2**40),
                   lambda: classical_lelong_numeric(w2, huge, dim=2),
-                  lambda: slice_lelong(w2, 1, huge)):
+                  lambda: slice_lelong(w2, 1, huge),
+                  lambda: torus_mean(h3, (-1.0, -1.0), 2**40),
+                  lambda: classical_lelong_numeric(h3, huge, dim=2)):
         with pytest.raises(ValueError, match="exceeds the limit"):
             probe()
 
