@@ -19,7 +19,9 @@ Newton diagram; on each the integrand is the exponential of a linear
 form, so c_alpha is a rational multiple of (2 pi)^n, and the integral
 diverges exactly when that form is nonnegative on a ray of the cone fan
 (Howald's criterion, alpha + 1 outside the interior of m times the Newton
-polyhedron).  Only the other weights, in one or two variables, are
+polyhedron).  The cone terms are summed in integers, with one rational
+per admissible alpha, and the cones are built once per call for all
+levels m.  Only the other weights, in one or two variables, are
 integrated numerically, on a per-axis shell decomposition; there a
 monomial is excluded when the shell contributions stop decaying (the
 integral diverges at the origin).
@@ -36,13 +38,9 @@ from typing import Sequence
 import numpy as np
 
 from .exactgeom import Vec, dot, eliminate, triangulate
-from .indicator_calculus import generalized_lelong_exact, tau
-from .numeric_oracle import (
-    DEFAULT_SCHEDULE,
-    RadialSchedule,
-    generalized_lelong_numeric,
-)
-from .poly_geom import ExponentSet, _diagram, sublevel_vertices
+from .indicator_calculus import _check_dimensions, _density, _tau
+from .numeric_oracle import DEFAULT_SCHEDULE, RadialSchedule, _swept_estimate
+from .poly_geom import ExponentSet, _diagram, _measure
 from .weights import CoordLog, MaxOf, PolyLog, Scale, _log_rows, _peak_shift
 from .weights import dimension_of, eval_expr, indicator_support, is_multicircled, torus_values
 
@@ -124,27 +122,36 @@ def basis_norms(u, m: int, degree_cap: int | None = None, dim: int | None = None
     MAX_BASIS_EXPONENTS candidate exponents, (cap + 1)^n, raises
     ValueError before any work.
     """
-    if m < 1:
+    return next(_bases(u, [m], degree_cap, dim if dim is not None else dimension_of(u)))[1]
+
+
+def _bases(u, m_list: Sequence[int], degree_cap: int | None, n: int):
+    """Yield (m, basis_norms(u, m, degree_cap, dim=n)) for each m; checks and cones once per list."""
+    if not m_list:
+        raise ValueError("m_list must not be empty")
+    if any(m < 1 for m in m_list):
         raise ValueError("m must be a positive integer")
     if degree_cap is not None and degree_cap < 0:
         raise ValueError("degree_cap must be nonnegative")
     if not is_multicircled(u):
         raise ValueError("basis norms need a torus-invariant weight")
-    n = dim if dim is not None else dimension_of(u)
     if n < dimension_of(u):
         raise ValueError(f"weight references {dimension_of(u)} coordinates, basis has {n}")
     gens = _pl_generators(u, n)
     if gens is None and n not in (1, 2):
         raise ValueError("basis construction supports dimensions 1 and 2 only")
-    if degree_cap is None:
-        degree_cap = DEFAULT_DEGREE_CAP[n] if gens is None else _pl_degree_cap(gens, m, n)
-    if (degree_cap + 1) ** n > MAX_BASIS_EXPONENTS:
-        raise ValueError(f"{degree_cap + 1}^{n} basis exponents exceed the limit of {MAX_BASIS_EXPONENTS}")
-    if gens is None:
-        entries = _quadrature_norms(u, m, degree_cap, n)
-    else:
-        entries = [(a, (2.0 * math.pi) ** n * float(c)) for a, c in _exact_norms(gens, m, degree_cap, n)]
-    return ApproxBasis(m=m, degree_cap=degree_cap, entries=tuple(entries), u_ref=u, dimension=n)
+    cones = None if gens is None else _pl_cones(gens, n)
+    for m in m_list:
+        cap = degree_cap
+        if cap is None:
+            cap = DEFAULT_DEGREE_CAP[n] if gens is None else _pl_degree_cap(gens, m, n)
+        if (cap + 1) ** n > MAX_BASIS_EXPONENTS:
+            raise ValueError(f"{cap + 1}^{n} basis exponents exceed the limit of {MAX_BASIS_EXPONENTS}")
+        if cones is None:
+            entries = _quadrature_norms(u, m, cap, n)
+        else:
+            entries = [(a, (2.0 * math.pi) ** n * (num / den)) for a, num, den in _exact_norms(cones, m, cap, n)]
+        yield m, ApproxBasis(m=m, degree_cap=cap, entries=tuple(entries), u_ref=u, dimension=n)
 
 
 def _pl_generators(u, n: int) -> list[Vec] | None:
@@ -198,37 +205,34 @@ def _pl_cones(gens: list[Vec], n: int) -> list[tuple[list[tuple[int, ...]], Vec,
     return cones
 
 
-def _exact_norms(gens: list[Vec], m: int, degree_cap: int, n: int):
-    """(alpha, c_alpha / (2 pi)^n) for the admissible alpha, summed exactly over the cones.
+def _exact_norms(cones, m: int, degree_cap: int, n: int):
+    """(alpha, num, den) with c_alpha / (2 pi)^n = num / den for the admissible alpha.
 
     With d = 2 alpha + 2 - 2 m J, each ray's -<d, v> is the affine form
-    <-2 v, alpha> + (2 m <J, v> - 2 sum(v)), set up once per m, so each
-    alpha costs integer dot products and one rational add per ray.
+    <-2 v, alpha> + (2 m <J, v> - 2 sum(v)), set up once per m.  Its
+    coefficients are integers: a ray of J's cone is the t-part of a
+    double-description ray (v, lam) active on J's row, so <J, v> = -lam.
+    Each alpha then costs integer dot products and products, and the cone
+    terms |det V| / prod(-<d, v_i>) add up as one unreduced num / den.
     """
-    cones = [
-        (det, [([-2 * x for x in v], 2 * m * dot(J, v) - 2 * sum(v)) for v in rays])
-        for rays, J, det in _pl_cones(gens, n)
-    ]
+    setup = [(det, [([-2 * x for x in v], int(2 * m * dot(J, v) - 2 * sum(v))) for v in rays])
+             for rays, J, det in cones]
     alphas = product(range(degree_cap + 1), repeat=n)
-    return [(a, c) for a in alphas if (c := _cone_integral(cones, a)) is not None]
+    return [(a, *pair) for a in alphas if (pair := _cone_sum(setup, a)) is not None]
 
 
-def _cone_integral(cones, alpha) -> Fraction | None:
-    """c_alpha / (2 pi)^n, or None when the integral diverges.
-
-    A cone adds |det V| / prod(-<d, v_i>); the integral diverges when
-    some -<d, v_i> <= 0.
-    """
-    total = Fraction(0)
-    for det, forms in cones:
-        denom = Fraction(1)
+def _cone_sum(setup, alpha) -> tuple[int, int] | None:
+    """(num, den) of the cone sum at alpha, or None when some -<d, v_i> <= 0 (divergence)."""
+    num, den = 0, 1
+    for scale, forms in setup:
+        denom = 1
         for w, const in forms:
             e = const + sum(map(int.__mul__, w, alpha))
             if e <= 0:
                 return None
             denom *= e
-        total += det / denom
-    return total
+        num, den = num * denom + scale * den, den * denom
+    return num, den
 
 
 def _radial_log_grid(shells: int, width: float, nodes: int):
@@ -317,7 +321,7 @@ def sandwich_check(u, m_list: Sequence[int], degree_cap: int | None = None,
     are built before the 6^n default sample points, which are limited too.
     """
     n = dim if dim is not None else dimension_of(u)
-    bases = [(m, basis_norms(u, m, degree_cap, dim=n)) for m in m_list]
+    bases = list(_bases(u, m_list, degree_cap, n))
     if sample_points is None:
         if 6**n > MAX_BASIS_EXPONENTS:
             raise ValueError(f"6^{n} default sample points exceed the limit of {MAX_BASIS_EXPONENTS}")
@@ -378,23 +382,23 @@ def lelong_bounds_check(u, S_phi: ExponentSet, m_list: Sequence[int],
     For each m the density of the approximant must not exceed the exact
     density of u, and the exact density must not exceed the approximant
     density plus (1/m) times the sum of the coordinate-slice densities
-    of the weight, all within the stated tolerance.
+    of the weight, all within the stated tolerance.  One diagram of the
+    weight gives all of these densities and the atoms of every sweep.
     """
     n = dim if dim is not None else dimension_of(u)
     S_u = indicator_support(u, n)
-    exact = generalized_lelong_exact(S_u, S_phi).value
-    tau_sum = sum((tau(S_phi, k).value for k in range(1, n + 1)), Fraction(0))
+    _check_dimensions(S_u, S_phi)
+    vertices, gm = _measure(S_phi)
+    exact = _density(S_u, gm)
+    tau_sum = sum((_tau(gm, k, n) for k in range(1, n + 1)), Fraction(0))
     # for weights whose sublevel set touches a coordinate wall the slice
     # constants bound the correction only from above; flagged, not altered
-    wall_touching = any(
-        any(x == 0 for x in t0) for t0 in sublevel_vertices(S_phi).extreme_points
-    )
+    wall_touching = any(any(x == 0 for x in t0) for t0 in vertices)
     estimates = {}
     ok = True
     shallow = max(sched.levels)
-    for m in m_list:
-        basis = basis_norms(u, m, degree_cap, dim=n)
-        est = generalized_lelong_numeric(S_phi, basis, sched)
+    for m, basis in _bases(u, m_list, degree_cap, n):
+        est = _swept_estimate(gm, basis, sched)
         lower_ok = est.value <= float(exact) + tolerance
         upper_ok = float(exact) <= est.value + float(tau_sum) / m + tolerance
         estimates[m] = {

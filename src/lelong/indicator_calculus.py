@@ -14,8 +14,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .exactgeom import frac, vec
-from .poly_geom import ExponentSet, gamma_measure
+from .exactgeom import vec
+from .poly_geom import ExponentSet, GammaMeasure, gamma_measure
 
 __all__ = [
     "LelongValue",
@@ -55,22 +55,19 @@ def directional_lelong_exact(S_u: ExponentSet, a: Sequence) -> LelongValue:
 
 def generalized_lelong_exact(S_u: ExponentSet, S_phi: ExponentSet) -> LelongValue:
     """n! times the atom sum of directional densities against the weight measure."""
+    _check_dimensions(S_u, S_phi)
+    return LelongValue(_density(S_u, gamma_measure(S_phi)), "generalized")
+
+
+def _check_dimensions(S_u: ExponentSet, S_phi: ExponentSet) -> None:
     if S_u.dimension != S_phi.dimension:
-        raise ValueError(
-            f"dimension mismatch: {S_u.dimension} vs {S_phi.dimension}"
-        )
-    n = S_u.dimension
-    gm = gamma_measure(S_phi)
-    total = Fraction(0)
-    for t0, mass in gm.atoms:
-        direction = tuple(-x for x in t0)
-        if any(x == 0 for x in direction):
-            # wall atom: the directional density extends continuously
-            # (min of linear forms), evaluate it directly
-            total += S_u.min_support(direction) * mass
-        else:
-            total += directional_lelong_exact(S_u, direction).value * mass
-    return LelongValue(math.factorial(n) * total, "generalized")
+        raise ValueError(f"dimension mismatch: {S_u.dimension} vs {S_phi.dimension}")
+
+
+def _density(S_u: ExponentSet, gm: GammaMeasure) -> Fraction:
+    """n! times the sum of mass * min_J <J, -t0> over the atoms t0 of gm, wall atoms included."""
+    total = sum((S_u.min_support(tuple(-x for x in t0)) * mass for t0, mass in gm.atoms), Fraction(0))
+    return math.factorial(S_u.dimension) * total
 
 
 def newton_number(S: ExponentSet) -> LelongValue:
@@ -87,6 +84,9 @@ def tau(S_phi: ExponentSet, k: int) -> LelongValue:
     n = S_phi.dimension
     if not 1 <= k <= n:
         raise ValueError(f"axis {k} out of range 1..{n}")
-    e_k = ExponentSet.of([tuple(frac(1 if i == k - 1 else 0) for i in range(n))])
-    inner = generalized_lelong_exact(e_k, S_phi)
-    return LelongValue(inner.value, "tau")
+    return LelongValue(_tau(gamma_measure(S_phi), k, n), "tau")
+
+
+def _tau(gm: GammaMeasure, k: int, n: int) -> Fraction:
+    """n! times the sum of mass * (-t0_k) over the atoms t0 of gm: the density of log|z_k|."""
+    return math.factorial(n) * sum((-t0[k - 1] * mass for t0, mass in gm.atoms), Fraction(0))

@@ -46,7 +46,7 @@ from typing import Sequence
 import numpy as np
 
 from .poly_geom import ExponentSet, _diagram, gamma_measure
-from .weights import PolyLog, Scale, _log_rows, _peak_shift, depends_on_theta, torus_values
+from .weights import PolyLog, Scale, _log_rows, _peak_shift, depends_on_theta, dimension_of, torus_values
 
 __all__ = [
     "CLIP_FLOOR",
@@ -643,10 +643,18 @@ def directional_lelong_numeric(w, a: Sequence[float], sched: RadialSchedule = DE
                                dim: int | None = None) -> LimitEstimate:
     """Estimate the directional density of w at the origin along a > 0.
 
-    Where the ambient dimension dim is given, a has exactly dim entries.
+    Where the ambient dimension dim is given, a has exactly dim entries;
+    otherwise at least `dimension_of(w)`, and exactly that many for a
+    `PolyLog`.  An evaluable object of no weight type is taken as it is.
     """
     av = tuple(float(x) for x in a)
-    if dim is not None and len(av) != dim:
+    exact = dim is not None or isinstance(w, PolyLog)
+    if dim is None:
+        try:
+            dim = dimension_of(w)
+        except TypeError:
+            dim = 0
+    if len(av) < dim or exact and len(av) != dim:
         raise ValueError("direction dimension mismatch")
     if any(x <= 0 for x in av):
         raise ValueError("direction must be strictly positive")
@@ -665,8 +673,6 @@ def classical_lelong_numeric(w, sched: RadialSchedule = DEFAULT_SCHEDULE, dim: i
     Dimensions 1..3 only.  Diagnostics carry the directional estimate in
     the diagonal direction, which must agree in the limit.
     """
-    from .weights import dimension_of
-
     n = dim if dim is not None else dimension_of(w)
     if n not in (1, 2, 3):
         raise ValueError("classical estimates support dimensions 1..3 only")
@@ -675,7 +681,7 @@ def classical_lelong_numeric(w, sched: RadialSchedule = DEFAULT_SCHEDULE, dim: i
         return _sphere_stats(w, r, sched.angular_nodes, n, radial_nodes)
 
     est = _sweep_levels(level, sched, "sphere probe")
-    diag = directional_lelong_numeric(w, (1.0,) * n, sched)
+    diag = directional_lelong_numeric(w, (1.0,) * n, sched, n)
     merged = dict(est.diagnostics)
     merged["directional_at_ones"] = diag.value
     merged["kiselman_gap"] = abs(est.value - diag.value)
@@ -727,7 +733,11 @@ def swept_measure_apply(S_phi: ExponentSet, w, r: float, nodes: int) -> float:
 
 def generalized_lelong_numeric(S_phi: ExponentSet, w, sched: RadialSchedule = DEFAULT_SCHEDULE) -> LimitEstimate:
     """Estimate the density of w against the weight by swept means over the schedule."""
-    gm = gamma_measure(S_phi)
+    return _swept_estimate(gamma_measure(S_phi), w, sched)
+
+
+def _swept_estimate(gm, w, sched: RadialSchedule) -> LimitEstimate:
+    """The swept-measure sweep of w over the atoms of gm."""
 
     def level(r):
         mean, clipped, count = _swept_stats(gm, w, r, sched.angular_nodes)

@@ -221,10 +221,12 @@ def gamma_measure(S: ExponentSet) -> GammaMeasure:
     wall and its dual face is lower-dimensional) are dropped: masses are
     positive by construction of the measure.
     """
+    return _measure(S)[1]
+
+
+def _measure(S: ExponentSet) -> tuple[tuple[Vec, ...], GammaMeasure]:
+    """Every sublevel extreme point, zero-mass ones included, and the measure, from one diagram."""
     _check_axes(S)
-    atoms = []
-    for t0, face in _diagram(S.points, S.dimension)[0]:
-        mass = cone_volume(face, S.dimension)
-        if mass > 0:
-            atoms.append((t0, mass))
-    return GammaMeasure(atoms=tuple(atoms), total_mass=sum((m for _, m in atoms), Fraction(0)))
+    vertices = _diagram(S.points, S.dimension)[0]
+    atoms = tuple((t0, mass) for t0, face in vertices if (mass := cone_volume(face, S.dimension)) > 0)
+    return tuple(t0 for t0, _ in vertices), GammaMeasure(atoms, sum((m for _, m in atoms), Fraction(0)))

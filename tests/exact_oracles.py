@@ -7,8 +7,9 @@ vertex, so its complement volume checks the atom masses of
 triangulated volume the recursion checks in turn.  `sweep_cones` finds
 the linearity cones of a piecewise-linear weight in one and two variables
 by sorting the directions where two generators tie, without the
-double-description fan, and `sweep_cone_integral` sums a Bergman norm
-over them.  `indicator_eval`
+double-description fan.  `cone_integral` sums a Bergman norm over either
+fan ray by ray in `Fraction`, the way the library summed it before its
+integer cone sums.  `indicator_eval`
 evaluates an indicator max_J <J, log|y|> pointwise in pure Python, apart
 from the numeric weight evaluation it checks.
 """
@@ -190,11 +191,12 @@ def sweep_cones(gens: list[Vec], n: int) -> list[tuple[tuple[Vec, ...], Vec, Fra
     return out
 
 
-def sweep_cone_integral(cones, m: int, alpha) -> Fraction | None:
-    """c_alpha / (2 pi)^n, or None when the integral diverges.
+def cone_integral(cones, m: int, alpha) -> Fraction | None:
+    """c_alpha / (2 pi)^n over simplicial cones (rays, J, |det|), or None when it diverges.
 
     A cone with rays v_i and active generator J adds |det V| / prod(-<d, v_i>),
-    d = 2 alpha + 2 - 2 m J; the integral diverges when some -<d, v_i> <= 0.
+    d = 2 alpha + 2 - 2 m J, one `Fraction` per ray; the integral diverges
+    when some -<d, v_i> <= 0.
     """
     total = Fraction(0)
     for rays, J, det in cones:

@@ -272,6 +272,31 @@ def test_main_run_direction_of_the_wrong_length_is_a_task_error(tmp_path, capsys
     assert entries[1]["value"] == 2.0
 
 
+def test_main_run_empty_m_list_is_a_task_error(tmp_path, capsys):
+    # a check over no level checks nothing, and used to report pass
+    prob = {
+        "dimension": 2,
+        "objects": {
+            "u": {"kind": "expr", "expr": {"node": "max", "children": [
+                {"node": "coord_log", "axis": 1}, {"node": "coord_log", "axis": 2}]}},
+            "phi": {"kind": "monomial_weight", "exponents": [[1, 0], [0, 1]]},
+        },
+        "tasks": [
+            {"op": "sandwich_check", "u": "u", "m_list": []},
+            {"op": "lelong_bounds_check", "u": "u", "phi": "phi", "m_list": []},
+            {"op": "sandwich_check", "u": "u", "m_list": [1], "degree_cap": 4},
+        ],
+    }
+    path = tmp_path / "prob.json"
+    path.write_text(json.dumps(prob))
+    main(["run", str(path), "--format", "json"])
+    sandwich, bounds, control = json.loads(capsys.readouterr().out)["tasks"]
+    for task in (sandwich, bounds):
+        assert task["status"] == "error"
+        assert task["error"] == "ValueError: m_list must not be empty"
+    assert control["status"] == "pass"
+
+
 def test_report_names_the_file_by_its_base_name(tmp_path, capsys):
     blobs = []
     for folder in ("a", "a_much_longer_directory/nested"):

@@ -16,8 +16,15 @@ from lelong.demailly import (
     sandwich_check,
     um_eval,
 )
-from lelong.numeric_oracle import RadialSchedule, classical_lelong_numeric, directional_lelong_numeric
-from lelong.poly_geom import ExponentSet
+from lelong.indicator_calculus import generalized_lelong_exact, tau
+from lelong.numeric_oracle import (
+    NonPshStarProbeError,
+    RadialSchedule,
+    classical_lelong_numeric,
+    directional_lelong_numeric,
+    generalized_lelong_numeric,
+)
+from lelong.poly_geom import ExponentSet, sublevel_vertices
 from lelong.weights import CoordLog, MaxOf, NegPowLog, PolyLog, Scale, indicator_support
 
 SCHED = RadialSchedule(levels=(-10.0, -20.0, -40.0), angular_nodes=64)
@@ -381,6 +388,139 @@ def test_bounds_flags_wall_touching_weight():
     rep = lelong_bounds_check(u, phi_wall, [2], degree_cap=8, sched=SCHED,
                               tolerance=1e-2, dim=2)
     assert rep.details["tau_caveat_wall_touching_weight"] is True
+
+
+# ---------------------------------------------------------------------------
+# one diagram of the weight and one cone fan of u per check
+
+
+def _public_report(u, S_phi, m_list, cap, n):
+    """The fields of a bounds report, each from the public function that defines it."""
+    exact = generalized_lelong_exact(indicator_support(u, n), S_phi).value
+    tau_sum = sum((tau(S_phi, k).value for k in range(1, n + 1)), F(0))
+    wall = any(any(x == 0 for x in t0) for t0 in sublevel_vertices(S_phi).extreme_points)
+    estimates = {}
+    for m in m_list:
+        basis = basis_norms(u, m, cap, dim=n)
+        est = generalized_lelong_numeric(S_phi, basis, SCHED)
+        estimates[m] = (est.value, est.stderr, len(basis.entries))
+    return exact, tau_sum, wall, estimates
+
+
+def _checked_report(u, S_phi, m_list, cap, n):
+    rep = lelong_bounds_check(u, S_phi, m_list, degree_cap=cap, sched=SCHED, dim=n)
+    estimates = {m: (r["estimate"], r["stderr"], r["admissible"]) for m, r in rep.estimates_by_m.items()}
+    return rep.exact, rep.tau_sum, rep.details["tau_caveat_wall_touching_weight"], estimates
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except (ValueError, NonPshStarProbeError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+def _assert_report_matches_public_functions(u_gens, phi, m_list, n):
+    u = _pl_weight(u_gens)
+    S_phi = ExponentSet.of(phi)
+    cap = 6 if n == 2 else 3
+    want = _outcome(_public_report, u, S_phi, m_list, cap, n)
+    assert _outcome(_checked_report, u, S_phi, m_list, cap, n) == want
+
+
+def _u_generators(n):
+    point = st.builds(lambda xs, q: tuple(F(x, q) for x in xs),
+                      st.lists(st.integers(0, 2), min_size=n, max_size=n), st.sampled_from((1, 2)))
+    return st.lists(point.filter(any), min_size=1, max_size=3, unique=True)
+
+
+def _phi_points(n):
+    """Mostly convenient sets (a pure point on every axis), some arbitrary ones."""
+    point = st.lists(st.integers(0, 3), min_size=n, max_size=n).filter(any).map(tuple)
+    axes = st.lists(st.integers(1, 4), min_size=n, max_size=n).map(
+        lambda hs: [tuple(h * int(i == k) for i in range(n)) for k, h in enumerate(hs)])
+    convenient = st.builds(lambda a, extra: a + extra, axes, st.lists(point, max_size=2))
+    return st.one_of(convenient, convenient, st.lists(point, min_size=1, max_size=3))
+
+
+_NON_CONVENIENT = [(1, 1)]  # sublevel vertices (-1, 0) and (0, -1), both of zero mass
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(u_gens=_u_generators(2), phi=_phi_points(2), m_list=st.lists(st.integers(1, 3), min_size=1, max_size=3))
+@example(u_gens=[(F(2), F(0)), (F(0), F(3, 2))], phi=_NON_CONVENIENT, m_list=[1, 2])
+@example(u_gens=[(F(1), F(0))], phi=[(1, 1), (2, 0)], m_list=[2])  # one wall vertex, of zero mass
+@example(u_gens=[(F(3, 2), F(0)), (F(1, 2), F(1, 2)), (F(0), F(2))], phi=[(0, 3), (1, 1), (4, 0)],
+         m_list=[1, 2, 3])
+def test_bounds_report_matches_public_functions_2d(u_gens, phi, m_list):
+    _assert_report_matches_public_functions(u_gens, phi, m_list, 2)
+
+
+@settings(max_examples=12, deadline=None, derandomize=True)
+@given(u_gens=_u_generators(3), phi=_phi_points(3), m_list=st.lists(st.integers(1, 2), min_size=1, max_size=2))
+@example(u_gens=[(F(2), F(0), F(0)), (F(0), F(3, 2), F(0)), (F(0), F(0), F(1))],
+         phi=[(2, 0, 0), (0, 3, 0), (0, 0, 2), (1, 1, 1)], m_list=[1, 2])
+@example(u_gens=[(F(1), F(0), F(0)), (F(0), F(1), F(1))], phi=[(1, 1, 1)], m_list=[1])
+def test_bounds_report_matches_public_functions_3d(u_gens, phi, m_list):
+    _assert_report_matches_public_functions(u_gens, phi, m_list, 3)
+
+
+def test_non_convenient_weight_is_flagged_from_zero_mass_vertices():
+    # {(1, 1)} has no atom of positive mass, so the flag must come from
+    # the vertices themselves
+    rep = lelong_bounds_check(max_log(), ExponentSet.of(_NON_CONVENIENT), [1, 2], degree_cap=4,
+                              sched=SCHED, dim=2)
+    assert rep.details["tau_caveat_wall_touching_weight"] is True
+    assert rep.exact == rep.tau_sum == 0
+    assert [r["estimate"] for r in rep.estimates_by_m.values()] == [0.0, 0.0]
+
+
+def test_bounds_check_builds_one_diagram_of_the_weight(monkeypatch):
+    import lelong.demailly as demailly
+    import lelong.poly_geom as poly_geom
+
+    seen = []
+    diagram = poly_geom._diagram
+
+    def counting(points, n):
+        seen.append(tuple(points))
+        return diagram(points, n)
+
+    monkeypatch.setattr(poly_geom, "_diagram", counting)
+    monkeypatch.setattr(demailly, "_diagram", counting)
+    u = MaxOf.of(Scale(F(2), CoordLog(1)), Scale(F(3, 2), CoordLog(2)))
+    phi = ExponentSet.of([(0, 3), (1, 1), (4, 0)])
+    lelong_bounds_check(u, phi, [1, 2, 3, 4], degree_cap=6, sched=SCHED, dim=2)
+    # one diagram of phi, and one of u for its cone fan
+    assert seen.count(phi.points) == 1
+    assert len(seen) == 2
+
+
+def test_sandwich_check_builds_the_cones_once(monkeypatch):
+    import lelong.demailly as demailly
+
+    calls = []
+    pl_cones = demailly._pl_cones
+
+    def counting(gens, n):
+        calls.append(n)
+        return pl_cones(gens, n)
+
+    monkeypatch.setattr(demailly, "_pl_cones", counting)
+    u = MaxOf.of(Scale(F(2), CoordLog(1)), Scale(F(3, 2), CoordLog(2)))
+    rep = sandwich_check(u, [1, 2, 3, 4], degree_cap=6, dim=2)
+    assert calls == [2]
+    calls.clear()
+    for m in (1, 2, 3, 4):
+        assert sandwich_check(u, [m], degree_cap=6, dim=2).c1_by_m[m] == rep.c1_by_m[m]
+    assert calls == [2] * 4
+
+
+def test_bounds_check_dimension_mismatch():
+    # the mismatch is reported before the weight's own checks
+    for phi in ([(1, 0, 0), (0, 1, 0), (0, 0, 1)], [(1, 0, 0)]):
+        with pytest.raises(ValueError, match="^dimension mismatch: 2 vs 3$"):
+            lelong_bounds_check(max_log(), ExponentSet.of(phi), [1], degree_cap=4, sched=SCHED, dim=2)
 
 
 def test_approximant_profile_dominated_by_weight_profile():

@@ -122,6 +122,26 @@ def test_directional_rejects_bad_direction():
         directional_lelong_numeric(CoordLog(1), (1.0, 0.0), FAST)
 
 
+def test_directional_direction_length_without_dim():
+    # without dim the weight's own dimension decides: a short direction
+    # used to raise a bare IndexError, a long one ran a 256^3 grid
+    w = PolyLog.of([(1, (2, 0)), (1, (0, 3))])
+    for a in [(1.0,), (1.0, 1.0, 1.0)]:
+        with pytest.raises(ValueError, match="^direction dimension mismatch$"):
+            directional_lelong_numeric(w, a, FAST)
+    with pytest.raises(ValueError, match="^direction dimension mismatch$"):
+        directional_lelong_numeric(Scale(F(1, 2), w), (1.0,), FAST)
+    with pytest.raises(ValueError, match="^direction dimension mismatch$"):
+        directional_lelong_numeric(CoordLog(2), (1.0,), FAST)
+    assert directional_lelong_numeric(w, (1.0, 1.0), FAST).value == pytest.approx(2.0, abs=1e-6)
+    # a weight that references fewer coordinates than the direction has
+    # is a weight on the larger space
+    assert directional_lelong_numeric(CoordLog(1), (2.0, 1.0), FAST).value == pytest.approx(2.0, abs=1e-6)
+    # with dim given, the length is exactly dim
+    with pytest.raises(ValueError, match="^direction dimension mismatch$"):
+        directional_lelong_numeric(CoordLog(1), (2.0, 1.0), FAST, dim=3)
+
+
 def test_non_psh_star_probe_aborts():
     class Bottom:
         theta_dependent = False
@@ -131,6 +151,9 @@ def test_non_psh_star_probe_aborts():
 
     with pytest.raises(NonPshStarProbeError, match="non-PSH_"):
         directional_lelong_numeric(Bottom(), (1.0, 1.0), FAST)
+    # an object of no weight type has no dimension to check a direction against
+    with pytest.raises(NonPshStarProbeError, match="non-PSH_"):
+        directional_lelong_numeric(Bottom(), (1.0,), FAST)
 
 
 def test_schedule_validation():

@@ -6,7 +6,9 @@ The fan comes from the double-description pass of `poly_geom._diagram`;
 the checks here compare it with the two-dimensional tie sweep kept in
 `tests/exact_oracles.py`, with a tiling identity in n = 1..4, with the
 factorization of a weight that ignores a coordinate, and with a golden
-file of bases.
+file of bases.  The integer cone sums of `_exact_norms` are checked
+against the ray-by-ray `Fraction` sum of `exact_oracles.cone_integral`
+in n = 3 and 4.
 """
 
 import json
@@ -16,7 +18,7 @@ from itertools import product
 from pathlib import Path
 
 import pytest
-from exact_oracles import sweep_cone_integral, sweep_cones
+from exact_oracles import cone_integral, sweep_cones
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -80,6 +82,11 @@ GOLDEN_WEIGHTS = [
 ]
 
 
+def _norms(gens, m: int, cap: int, n: int) -> dict:
+    """alpha -> c_alpha / (2 pi)^n as a Fraction, for the admissible alpha."""
+    return {a: F(num, den) for a, num, den in _exact_norms(_pl_cones(gens, n), m, cap, n)}
+
+
 def pl_bases() -> list[dict]:
     """Every golden weight at m = 1..3, with the default cap and with cap 4.
 
@@ -129,10 +136,10 @@ _generator = st.builds(
 def test_cone_sums_match_tie_sweep(gens, n, m):
     gens = [J[:n] for J in gens]
     cap = 8
-    got = dict(_exact_norms(gens, m, cap, n))
+    got = _norms(gens, m, cap, n)
     cones = sweep_cones(gens, n)
     for alpha in product(range(cap + 1), repeat=n):
-        assert got.get(alpha) == sweep_cone_integral(cones, m, alpha), alpha
+        assert got.get(alpha) == cone_integral(cones, m, alpha), alpha
 
 
 @settings(max_examples=80, deadline=None, derandomize=True)
@@ -149,19 +156,69 @@ def test_cone_sums_match_tie_sweep(gens, n, m):
 def test_cones_tile_the_orthant(rows, n):
     # the integral of exp(sum(s)) over s <= 0 is 1, and each simplicial
     # cone V contributes |det V| / prod(-sum(v)): the cones must cover the
-    # orthant once, each with a generator that attains the max on all its rays
+    # orthant once, each with a generator that attains the max on all its
+    # rays, at an integer (the integer Bergman sums rest on that)
     gens = [tuple(F(x, q) for x in J[:n]) for J, q in rows]
     total = F(0)
     for rays, J, det in _pl_cones(gens, n):
         assert det > 0
         for v in rays:
-            assert sum(j * x for j, x in zip(J, v)) == max(sum(k * x for k, x in zip(K, v)) for K in gens)
+            top = sum(j * x for j, x in zip(J, v))
+            assert top == max(sum(k * x for k, x in zip(K, v)) for K in gens)
+            assert F(top).denominator == 1
         total += F(det, math.prod(-sum(v) for v in rays))
     assert total == 1
 
 
 # ---------------------------------------------------------------------------
-# three variables
+# three and four variables
+
+_generator_4d = st.builds(
+    lambda xs, q: tuple(F(x, q) for x in xs),
+    st.lists(st.integers(0, 5), min_size=4, max_size=4), st.sampled_from((1, 2, 3)),
+)
+
+_STEEP_3 = [(F(3, 2), F(0), F(0)), (F(0), F(5, 3), F(0)), (F(0), F(0), F(2))]
+_STEEP_4 = [J + (F(0),) for J in _STEEP_3] + [(F(0), F(0), F(0), F(5, 3))]
+_KINKED_3 = _STEEP_3 + [(F(1, 2), F(2, 3), F(1, 3))]
+_KINKED_4 = _STEEP_4 + [(F(1, 2), F(2, 3), F(1, 2), F(1, 3))]
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(gens=st.lists(_generator_4d, min_size=1, max_size=5), n=st.integers(3, 4), m=st.integers(1, 3))
+@example(gens=_STEEP_3, n=3, m=2)  # slopes 3/2, 5/3, 2: small alpha diverge
+@example(gens=_STEEP_4, n=4, m=3)
+@example(gens=_KINKED_3, n=3, m=3)  # fractional slopes with a kink inside the orthant
+@example(gens=_KINKED_4, n=4, m=3)
+@example(gens=[(F(0),) * 4, (F(1), F(2), F(0), F(1))], n=3, m=1)  # a zero generator
+@example(gens=[(F(0),) * 4] + _STEEP_4, n=4, m=1)  # a zero generator: u = 0 on the orthant
+@example(gens=[(F(1), F(0), F(0), F(0))], n=4, m=2)  # log|z1|: no generator on axes 2..4
+def test_integer_cone_sums_match_fraction_oracle(gens, n, m):
+    gens = [J[:n] for J in gens]
+    cap = 3 if n == 3 else 2
+    cones = _pl_cones(gens, n)
+    got = _norms(gens, m, cap, n)
+    for alpha in product(range(cap + 1), repeat=n):
+        assert got.get(alpha) == cone_integral(cones, m, alpha), alpha
+
+
+_STEEP_3D = MaxOf.of(Scale(F(3, 2), _L1), Scale(F(5, 3), _L2), Scale(F(2), CoordLog(3)))
+
+
+@pytest.mark.parametrize("gens, n, m, cap, weight", [
+    (_STEEP_3, 3, 2, 4, _STEEP_3D), (_STEEP_4, 4, 3, 3, None), (_KINKED_3, 3, 3, 4, None),
+    (_KINKED_4, 4, 3, 3, None),
+])
+def test_integer_cone_sums_cover_divergent_and_admissible_alpha(gens, n, m, cap, weight):
+    # the pinned fractional-slope weights have both kinds of alpha, and a
+    # basis holds the correctly rounded floats of the oracle sums
+    cones = _pl_cones(gens, n)
+    want = {a: c for a in product(range(cap + 1), repeat=n) if (c := cone_integral(cones, m, a)) is not None}
+    assert 0 < len(want) < (cap + 1) ** n
+    assert _norms(gens, m, cap, n) == want
+    if weight is not None:
+        basis = basis_norms(weight, m, cap, dim=n)
+        assert basis.entries == tuple((a, (2 * math.pi) ** n * float(c)) for a, c in want.items())
 
 
 @settings(max_examples=25, deadline=None, derandomize=True)
@@ -174,8 +231,8 @@ def test_weight_free_of_one_coordinate_factorizes(gens, m, free):
     # 2 pi / (2 alpha_free + 2), exactly
     cap = 6
     lifted = [J[:free] + (F(0),) + J[free:] for J in gens]
-    plane = dict(_exact_norms(gens, m, cap, 2))
-    space = dict(_exact_norms(lifted, m, cap, 3))
+    plane = _norms(gens, m, cap, 2)
+    space = _norms(lifted, m, cap, 3)
     for alpha in product(range(cap + 1), repeat=3):
         rest = alpha[:free] + alpha[free + 1:]
         want = plane[rest] / (2 * alpha[free] + 2) if rest in plane else None
