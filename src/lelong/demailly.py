@@ -29,6 +29,7 @@ integral diverges at the origin).
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -316,41 +317,90 @@ def sandwich_check(u, m_list: Sequence[int], degree_cap: int | None = None,
 
     Lower bound: u(z) - C1/m <= u_m(z).  Upper bound: u_m(z) bounded by
     the sup of u on the polydisk of radius r around z plus
-    (1/m) log(C2 / prod r_k).  Passes when finite constants exist and
-    stay within a factor of two across the levels in m_list.  The bases
-    are built before the 6^n default sample points, which are limited too.
+    (1/m) log(C2 / prod r_k); for a multicircled u that sup is u at the
+    bumped point |z_k| + r.  Passes when finite constants exist and stay
+    within a factor of two across the levels in m_list.
+
+    The default sample points are the 6^n grid of moduli 0.05 ... 0.85,
+    limited like a basis and refused after the bases are built.  Given
+    points must have n coordinates and lie in the open unit polydisk,
+    radii must be positive, and some bumped point must stay inside; these
+    errors come before any basis work.  u is evaluated twice, on all
+    sample points and on all bumped points, and each approximant once,
+    summing each point's terms as at a single point.  `details` counts
+    the points and the (point, radius) pairs that fit.
     """
     n = dim if dim is not None else dimension_of(u)
-    bases = list(_bases(u, m_list, degree_cap, n))
-    if sample_points is None:
-        if 6**n > MAX_BASIS_EXPONENTS:
-            raise ValueError(f"6^{n} default sample points exceed the limit of {MAX_BASIS_EXPONENTS}")
+    if sample_points is None and 6**n <= MAX_BASIS_EXPONENTS:
         sample_points = list(product([0.05, 0.15, 0.3, 0.5, 0.7, 0.85], repeat=n))
+    geometry = None if sample_points is None else _sample_geometry(sample_points, polyradii, n)
+    bases = list(_bases(u, m_list, degree_cap, n))
+    if geometry is None:
+        raise ValueError(f"6^{n} default sample points exceed the limit of {MAX_BASIS_EXPONENTS}")
+    t, theta, t_up, owner, log_r = geometry
+    points, pairs = len(sample_points), len(owner)
+    u_at = np.broadcast_to(torus_values(u, t, theta), (points,))
+    sup_u = np.broadcast_to(torus_values(u, t_up, (0.0,) * n), (pairs,))
+    finite = np.isfinite(u_at)
     c1_by_m = {}
     c2_by_m = {}
     for m, basis in bases:
-        c1 = 0.0
-        log_c2 = -math.inf
-        for z in sample_points:
-            uz = eval_expr(u, z)
-            umz = um_eval(basis, z)
-            if math.isfinite(uz):
-                c1 = max(c1, m * (uz - umz))
-            for r in polyradii:
-                bumped = tuple(abs(zk) + r for zk in z)
-                if any(b >= 1 for b in bumped):
-                    continue
-                sup_u = eval_expr(u, bumped)  # multicircled weights increase in moduli
-                log_c2 = max(log_c2, m * (umz - sup_u) + n * math.log(r))
-        c1_by_m[m] = c1
-        c2_by_m[m] = math.exp(log_c2)
+        peak, w = _peak_shift(basis._log_terms(t))
+        with np.errstate(divide="ignore"):
+            um = (peak + np.log(np.ascontiguousarray(w.T).sum(axis=1))) / (2.0 * m)
+        um = np.broadcast_to(um, (points,))
+        # Python's max, as in a per-point loop: a NaN term never wins
+        c1_by_m[m] = max([0.0, *(m * (u_at[finite] - um[finite])).tolist()])
+        c2_by_m[m] = math.exp(max([-math.inf, *(m * (um[owner] - sup_u) + log_r).tolist()]))
     passed = _stable(list(c1_by_m.values())) and _stable(list(c2_by_m.values()))
     return SandwichReport(
         passed=passed,
         c1_by_m=c1_by_m,
         c2_by_m=c2_by_m,
-        details={"sample_points": list(map(tuple, sample_points)), "polyradii": tuple(polyradii)},
+        details={"sample_points": list(map(tuple, sample_points)), "polyradii": tuple(polyradii),
+                 "points": points, "upper_pairs": pairs},
     )
+
+
+def _sample_geometry(sample_points, polyradii, n: int):
+    """(t, theta, t_up, owner, log_r) of the sample points, as eval_expr takes them.
+
+    t and theta hold one array per axis over the points.  For each
+    (point, radius) pair whose bumped point abs(z_k) + r lies inside the
+    unit polydisk, in point-major order, t_up holds the bumped
+    log-moduli (one array per axis), owner the index of the point and
+    log_r the value n log r.
+    """
+    if len(polyradii) == 0:
+        raise ValueError("polyradii must not be empty")
+    if not all(r > 0 for r in polyradii):
+        raise ValueError("polyradii must be positive")
+    if len(sample_points) == 0:
+        raise ValueError("sample_points must not be empty")
+    t, theta, t_up, owner, log_r = [], [], [], [], []
+    for i, z in enumerate(sample_points):
+        if len(z) != n:
+            raise ValueError(f"sample point dimension mismatch: {len(z)} vs {n}")
+        zs = [complex(zk) for zk in z]
+        mods = [abs(zk) for zk in zs]
+        if not all(x < 1 for x in mods):
+            raise ValueError(f"sample point outside the unit polydisk: {tuple(z)}")
+        t.append([math.log(x) if x > 0 else -math.inf for x in mods])
+        theta.append([cmath.phase(zk) if x > 0 else 0.0 for zk, x in zip(zs, mods)])
+        for r in polyradii:
+            bumped = [x + r for x in mods]
+            if all(b < 1 for b in bumped):
+                t_up.append([math.log(b) for b in bumped])
+                owner.append(i)
+                log_r.append(n * math.log(r))
+    if not owner:
+        raise ValueError("no polyradius keeps a bumped sample point inside the unit polydisk")
+    return _by_axis(t), _by_axis(theta), _by_axis(t_up), np.array(owner), np.array(log_r)
+
+
+def _by_axis(rows: list[list[float]]) -> tuple[np.ndarray, ...]:
+    """One array per axis from one row of coordinates per point."""
+    return tuple(np.array(col, dtype=float) for col in zip(*rows))
 
 
 def _stable(values: list[float], factor: float = 2.0, small: float = 0.5) -> bool:

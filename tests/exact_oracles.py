@@ -12,16 +12,21 @@ fan ray by ray in `Fraction`, the way the library summed it before its
 integer cone sums.  `indicator_eval`
 evaluates an indicator max_J <J, log|y|> pointwise in pure Python, apart
 from the numeric weight evaluation it checks.
+`sandwich_constants_per_point` fits the sandwich constants one point
+and one level at a time through `eval_expr`, the loop `sandwich_check`
+ran before its array pass.
 """
 
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 from typing import Sequence
 
+from lelong.demailly import basis_norms, um_eval
 from lelong.exactgeom import Constraint, Vec, double_description, eliminate, frac, vec
 from lelong.poly_geom import ExponentSet, dominated_hull, sublevel_vertices
+from lelong.weights import dimension_of, eval_expr
 
 
 def solve(rows: Sequence[Sequence], rhs: Sequence) -> Vec | None:
@@ -209,3 +214,37 @@ def cone_integral(cones, m: int, alpha) -> Fraction | None:
             denom *= e
         total += det / denom
     return total
+
+
+def sandwich_constants_per_point(u, m_list, degree_cap=None, sample_points=None,
+                                 polyradii=(0.05,), dim=None) -> tuple[dict, dict]:
+    """(c1_by_m, c2_by_m) of `sandwich_check`, one point at a time.
+
+    Every level m gets its own `basis_norms`, and u(z), u_m(z) and the
+    sup of u on each bumped polydisk are scalar `eval_expr` calls, made
+    again for every m.  Bumped points outside the unit polydisk are
+    skipped; inputs are not validated.
+    """
+    n = dim if dim is not None else dimension_of(u)
+    if sample_points is None:
+        sample_points = list(product([0.05, 0.15, 0.3, 0.5, 0.7, 0.85], repeat=n))
+    c1_by_m = {}
+    c2_by_m = {}
+    for m in m_list:
+        basis = basis_norms(u, m, degree_cap, dim=n)
+        c1 = 0.0
+        log_c2 = -math.inf
+        for z in sample_points:
+            uz = eval_expr(u, z)
+            umz = um_eval(basis, z)
+            if math.isfinite(uz):
+                c1 = max(c1, m * (uz - umz))
+            for r in polyradii:
+                bumped = tuple(abs(zk) + r for zk in z)
+                if any(b >= 1 for b in bumped):
+                    continue
+                sup_u = eval_expr(u, bumped)  # multicircled weights increase in moduli
+                log_c2 = max(log_c2, m * (umz - sup_u) + n * math.log(r))
+        c1_by_m[m] = c1
+        c2_by_m[m] = math.exp(log_c2)
+    return c1_by_m, c2_by_m

@@ -1,10 +1,11 @@
+import cmath
 import math
 from fractions import Fraction as F
 from itertools import combinations, product
 
 import numpy as np
 import pytest
-from exact_oracles import solve
+from exact_oracles import sandwich_constants_per_point, solve
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -514,6 +515,140 @@ def test_sandwich_check_builds_the_cones_once(monkeypatch):
     for m in (1, 2, 3, 4):
         assert sandwich_check(u, [m], degree_cap=6, dim=2).c1_by_m[m] == rep.c1_by_m[m]
     assert calls == [2] * 4
+
+
+def _assert_matches_per_point(u, m_list, **kw):
+    rep = sandwich_check(u, m_list, **kw)
+    c1, c2 = sandwich_constants_per_point(u, m_list, **kw)
+    assert rep.c1_by_m == c1
+    assert rep.c2_by_m == c2
+    return rep
+
+
+def _sandwich_gens(n, top):
+    point = st.builds(lambda xs, q: tuple(F(x, q) for x in xs),
+                      st.lists(st.integers(0, top), min_size=n, max_size=n), st.sampled_from((1, 2, 3)))
+    return st.lists(point, min_size=1, max_size=4, unique=True)
+
+
+_M_LISTS = st.lists(st.integers(1, 4), min_size=1, max_size=4, unique=True)
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(gens=_sandwich_gens(1, 8), m_list=_M_LISTS)
+@example(gens=[(F(0),)], m_list=[1, 2])  # constant weight
+@example(gens=[(F(3, 2),)], m_list=[1, 2, 3, 4])
+def test_sandwich_constants_match_per_point_oracle_1d(gens, m_list):
+    _assert_matches_per_point(_pl_weight(gens), m_list, dim=1)
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(gens=_sandwich_gens(2, 4), m_list=_M_LISTS)
+@example(gens=[(F(1), F(0))], m_list=[1, 2, 3, 4])  # log|z1|: no generator on axis 2
+@example(gens=[(F(2), F(0)), (F(0), F(3, 2))], m_list=[1, 2, 3, 4])
+@example(gens=[(F(3), F(0)), (F(1), F(1)), (F(0), F(3))], m_list=[1, 3])  # kink inside the quadrant
+def test_sandwich_constants_match_per_point_oracle_2d(gens, m_list):
+    _assert_matches_per_point(_pl_weight(gens), m_list, dim=2)
+
+
+@settings(max_examples=10, deadline=None, derandomize=True)
+@given(gens=_sandwich_gens(3, 2), m_list=st.lists(st.integers(1, 3), min_size=1, max_size=2, unique=True))
+@example(gens=[(F(2), F(0), F(0)), (F(0), F(3, 2), F(0)), (F(0), F(0), F(3))], m_list=[1, 2])
+@example(gens=[(F(0), F(0), F(0)), (F(1), F(1), F(1))], m_list=[1])  # constant weight
+def test_sandwich_constants_match_per_point_oracle_3d(gens, m_list):
+    _assert_matches_per_point(_pl_weight(gens), m_list, degree_cap=4, dim=3)
+
+
+def test_sandwich_constants_match_per_point_oracle_quadrature():
+    # a max tree with -|log|z1||, on the shell quadrature
+    u = MaxOf.of(NegPowLog(1, F(1)), Scale(F(3, 2), CoordLog(2)))
+    _assert_matches_per_point(u, [1, 2], degree_cap=6, dim=2)
+
+
+def _assert_close_to_per_point(u, m_list, **kw):
+    rep = sandwich_check(u, m_list, **kw)
+    c1, c2 = sandwich_constants_per_point(u, m_list, **kw)
+    for m in m_list:
+        assert rep.c1_by_m[m] == pytest.approx(c1[m], rel=1e-12), m
+        assert rep.c2_by_m[m] == pytest.approx(c2[m], rel=1e-12), m
+
+
+@pytest.mark.parametrize("p", [F(1, 4), F(1, 3), F(1, 2), F(2, 3), F(3, 4)])
+def test_sandwich_fractional_powers_match_per_point_oracle_closely(p):
+    # numpy's array power and its scalar power may round |log|z1||^p
+    # differently in the last bit
+    _assert_close_to_per_point(MaxOf.of(NegPowLog(1, p), log_z()), [1, 2, 3], degree_cap=6, dim=1)
+    u = MaxOf.of(NegPowLog(1, p), Scale(F(3, 2), CoordLog(2)))
+    _assert_close_to_per_point(u, [1, 2, 3], degree_cap=6, dim=2)
+
+
+def test_sandwich_constants_match_per_point_oracle_edge_cases():
+    # empty basis: u_m = -inf, so C1 = inf and C2 = 0
+    rep = _assert_matches_per_point(log_z(), [1], degree_cap=0, dim=1)
+    assert rep.c1_by_m == {1: math.inf} and rep.c2_by_m == {1: 0.0} and not rep.passed
+    # real points, some with a zero coordinate (u = -inf there, no C1 term)
+    points = [(0.0, 0.5), (0.3, 0.0), (0.2, 0.4), (-0.5, 0.25), (0.7, -0.1)]
+    u = MaxOf.of(Scale(F(2), CoordLog(1)), Scale(F(3, 2), CoordLog(2)))
+    _assert_matches_per_point(u, [1, 2, 3], degree_cap=6, sample_points=points, dim=2)
+    _assert_matches_per_point(_pl_weight([(F(1), F(1)), (F(0), F(2))]), [1, 2], degree_cap=6,
+                              sample_points=[(0.0, 0.5), (0.2, 0.4), (0.6, 0.1)], dim=2)
+    # several radii, some bumped points skipped
+    rep = _assert_matches_per_point(u, [1, 2], degree_cap=6, polyradii=(0.05, 0.2, 0.6), dim=2)
+    assert rep.details["points"] == 36
+    assert rep.details["upper_pairs"] == 36 + 25 + 9
+
+
+def test_sandwich_complex_points_match_per_point_oracle_closely():
+    # the phase of a complex point enters a monomial's modulus; numpy's
+    # scalar and array complex products may round it differently
+    u = _pl_weight([(F(2), F(1)), (F(0), F(3, 2))])
+    points = [(0.3 * cmath.exp(0.7j), 0.5j), (-0.2 + 0.1j, 0.4), (0.6j, -0.3 - 0.3j)]
+    _assert_close_to_per_point(u, [1, 2, 3], degree_cap=6, sample_points=points, dim=2)
+
+
+def test_sandwich_check_evaluates_the_weight_twice(monkeypatch):
+    import lelong.demailly as demailly
+
+    u = MaxOf.of(Scale(F(2), CoordLog(1)), Scale(F(3, 2), CoordLog(2)))
+    calls = []
+    evaluate = demailly.torus_values
+
+    def counting(w, t, theta):
+        calls.append(w is u)
+        return evaluate(w, t, theta)
+
+    monkeypatch.setattr(demailly, "torus_values", counting)
+    for m_list, points in (([1, 2, 3, 4], None), ([1], None), ([1, 2], [(0.5, 0.5), (0.1, 0.2), (0.3, 0.9)])):
+        calls.clear()
+        sandwich_check(u, m_list, degree_cap=6, sample_points=points, dim=2)
+        # once on the sample points, once on the bumped points
+        assert calls.count(True) == 2, (m_list, points)
+
+
+@pytest.mark.parametrize("kw, message", [
+    ({"sample_points": []}, "^sample_points must not be empty$"),
+    ({"polyradii": ()}, "^polyradii must not be empty$"),
+    ({"polyradii": (1.0,)}, "^no polyradius keeps a bumped sample point inside the unit polydisk$"),
+    ({"sample_points": [(0.5, 0.5)], "polyradii": (0.5, 0.7)}, "^no polyradius keeps"),
+    ({"sample_points": [(0.5, 0.5), (1.5, 0.5)]}, r"^sample point outside the unit polydisk: \(1\.5, 0\.5\)$"),
+    ({"sample_points": [(0.5, -1.0)]}, "^sample point outside the unit polydisk"),
+    ({"sample_points": [(0.5, 0.9j + 0.5)]}, "^sample point outside the unit polydisk"),
+    ({"sample_points": [(0.5, math.nan)]}, "^sample point outside the unit polydisk"),
+    ({"sample_points": [(0.5,)]}, "^sample point dimension mismatch: 1 vs 2$"),
+    ({"sample_points": [(0.5, 0.5), (0.1, 0.2, 0.3)]}, "^sample point dimension mismatch: 3 vs 2$"),
+    ({"polyradii": (0.05, 0.0)}, "^polyradii must be positive$"),
+    ({"polyradii": (-0.1,)}, "^polyradii must be positive$"),
+    ({"polyradii": (math.nan,)}, "^polyradii must be positive$"),
+])
+def test_sandwich_input_errors_come_before_the_bases(monkeypatch, kw, message):
+    import lelong.demailly as demailly
+
+    def no_bases(*args):
+        raise AssertionError("bases built before the input check")
+
+    monkeypatch.setattr(demailly, "_bases", no_bases)
+    with pytest.raises(ValueError, match=message):
+        sandwich_check(max_log(), [1, 2], degree_cap=4, dim=2, **kw)
 
 
 def test_bounds_check_dimension_mismatch():
