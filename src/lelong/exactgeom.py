@@ -1,7 +1,9 @@
-"""Exact rational linear algebra and convex-geometry primitives.
+"""Exact linear algebra and convex-geometry primitives, on integers inside.
 
-Everything here works over the rationals, so results are exact and
-independent of evaluation order.  Two kernels carry the module:
+Inputs are what `frac` accepts.  Each input matrix or point set is
+cleared of denominators once, at the boundary; the kernels then run on
+ints, and a Fraction is built only for a result (a determinant, a volume).
+Results are exact and independent of evaluation order.  Two kernels:
 
   * `eliminate`, fraction-free (Bareiss) Gauss-Jordan elimination, which
     gives ranks, pivot columns, determinants and inverses;
@@ -19,19 +21,27 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import islice
 from typing import Iterable, Sequence
 
 Vec = tuple[Fraction, ...]
-Constraint = tuple[Vec, Fraction]  # (a, b) encodes <a, x> <= b
+
+MAX_DD_WORK = 2**21  # ray steps of one double-description pass
+
+
+class BudgetExceeded(ValueError):
+    """A double-description pass needs more ray steps than MAX_DD_WORK."""
+
+    def __init__(self, count: int, limit: int):
+        self.count, self.limit = count, limit
+        super().__init__(f"double description work of {count} ray steps exceeds the limit of {limit}")
 
 
 def frac(x) -> Fraction:
     """Coerce ints, strings like '3/4' and Fractions to Fraction."""
     if isinstance(x, Fraction):
         return x
-    if isinstance(x, int):
-        return Fraction(x)
-    if isinstance(x, str):
+    if isinstance(x, (int, str)):
         return Fraction(x)
     raise TypeError(f"expected an exact rational, got {type(x).__name__}: {x!r}")
 
@@ -45,9 +55,19 @@ def dot(u: Sequence[Fraction], v: Sequence[Fraction]) -> Fraction:
 
 
 def _integer_row(row: Sequence) -> tuple[list[int], int]:
-    """The row times the least common denominator of its entries, and that factor."""
-    scale = math.lcm(*(Fraction(x).denominator for x in row)) if row else 1
-    return [int(Fraction(x) * scale) for x in row], scale
+    """The row times the least common denominator of its entries (what `frac` accepts), and that factor."""
+    if all(type(x) is int for x in row):
+        return list(row), 1
+    pairs = [(x if type(x) is int else frac(x)).as_integer_ratio() for x in row]
+    scale = math.lcm(*(q for _, q in pairs))
+    return [p * (scale // q) for p, q in pairs], scale
+
+
+def _integer_points(points: Sequence[Sequence]) -> tuple[list[tuple[int, ...]], int]:
+    """The points times the least common denominator of all their coordinates, and that factor."""
+    rows = [_integer_row(p) for p in points]
+    scale = math.lcm(*(s for _, s in rows))
+    return [tuple(x * (scale // s) for x in row) for row, s in rows], scale
 
 
 def eliminate(rows: Sequence[Sequence]) -> tuple[list[list[int]], list[int], Fraction]:
@@ -57,11 +77,15 @@ def eliminate(rows: Sequence[Sequence]) -> tuple[list[list[int]], list[int], Fra
     in the integer matrix m, row k (k < len(pivots)) holds the common pivot
     value at column pivots[k] and zeros in every other pivot column; the
     rows after them are zero.  len(pivots) is the rank, and det is the
-    determinant of a square input (0 when singular).  Every division is
-    exact because every entry of m is a minor of the scaled input.
+    determinant of a square input (0 when singular).
     """
     scaled = [_integer_row(r) for r in rows]
-    m = [row for row, _ in scaled]
+    m, pivots, det = _bareiss([row for row, _ in scaled], full=True)
+    return m, pivots, Fraction(det, math.prod(s for _, s in scaled))
+
+
+def _bareiss(m: list, full: bool = False) -> tuple[list[list[int]], list[int], int]:
+    """`eliminate` on int rows with an int det; without `full`, only rows below a pivot are reduced."""
     prev, sign, pivots = 1, 1, []
     for col in range(len(m[0]) if m else 0):
         r = len(pivots)
@@ -72,15 +96,14 @@ def eliminate(rows: Sequence[Sequence]) -> tuple[list[list[int]], list[int], Fra
             m[r], m[piv] = m[piv], m[r]
             sign = -sign
         p, top = m[r][col], m[r]
-        for i, row in enumerate(m):
+        for i in range(0 if full else r + 1, len(m)):
             if i != r:
-                f = row[col]
-                m[i] = [(p * x - f * y) // prev for x, y in zip(row, top)]
+                f = m[i][col]
+                m[i] = [(p * x - f * y) // prev for x, y in zip(m[i], top)]  # exact: minors of the input
         prev = p
         pivots.append(col)
     square = len(m) == len(pivots) and all(len(row) == len(m) for row in m)
-    det = Fraction(sign * prev, math.prod(s for _, s in scaled)) if square else Fraction(0)
-    return m, pivots, det
+    return m, pivots, sign * prev if square else 0
 
 
 def double_description(rows: Sequence[Sequence], d: int) -> list[tuple[tuple[int, ...], frozenset[int]]]:
@@ -93,15 +116,18 @@ def double_description(rows: Sequence[Sequence], d: int) -> list[tuple[tuple[int
     The pass starts from the simplicial cone of the first d independent
     rows and adds the others one at a time.  A ray pair straddling the new
     hyperplane is combined only when it is adjacent: no third ray is
-    active on every row the two share.
+    active on every row the two share.  The work is counted in ray steps:
+    the rays and the straddling pairs of each added row, and the rays
+    scanned for each pair that shares enough rows.  Past MAX_DD_WORK the
+    pass raises BudgetExceeded.
     """
     ints = [_integer_row(r)[0] for r in rows]
-    _, start, _ = eliminate([[r[j] for r in ints] for j in range(d)])
+    start = _bareiss([[r[j] for r in ints] for j in range(d)])[1]
     if len(start) < d:
         return []
     # the rays of the start cone are the columns of -A^-1; reducing [A | I]
     # leaves D * A^-1 on the right, D the common pivot m[k][k]
-    m, _, _ = eliminate([ints[i] + [int(j == k) for j in range(d)] for k, i in enumerate(start)])
+    m = _bareiss([ints[i] + [int(j == k) for j in range(d)] for k, i in enumerate(start)], full=True)[0]
     flip = -1 if m[0][0] > 0 else 1
     start_mask = sum(1 << i for i in start)
     # each ray carries the bitmask of the rows it is active on
@@ -109,22 +135,27 @@ def double_description(rows: Sequence[Sequence], d: int) -> list[tuple[tuple[int
         (_primitive([flip * m[k][d + j] for k in range(d)]), start_mask & ~(1 << start[j]))
         for j in range(d)
     ]
+    work = 0
     for i in sorted(set(range(len(ints))) - set(start)):
         row, bit = ints[i], 1 << i
         values = [sum(map(int.__mul__, row, ray)) for ray, _ in rays]
         pos = [k for k, v in enumerate(values) if v > 0]
         neg = [k for k, v in enumerate(values) if v < 0]
+        acts = [act for _, act in rays]
+        work += len(rays) + len(pos) * len(neg)
         new = []
         for p in pos:
             for q in neg:
-                common = rays[p][1] & rays[q][1]
-                if common.bit_count() < d - 2 or any(
-                    k != p and k != q and common & act == common for k, (_, act) in enumerate(rays)
-                ):
+                common = acts[p] & acts[q]
+                if common.bit_count() < d - 2:
                     continue
-                vp, vq = values[p], -values[q]
-                ray = _primitive([vp * x + vq * y for x, y in zip(rays[q][0], rays[p][0])])
-                new.append((ray, common | bit))
+                work += len(rays)
+                if work > MAX_DD_WORK:
+                    raise BudgetExceeded(work, MAX_DD_WORK)
+                if next(islice((a for a in acts if a & common == common), 2, None), None) is None:
+                    vp, vq = values[p], -values[q]
+                    ray = _primitive([vp * x + vq * y for x, y in zip(rays[q][0], rays[p][0])])
+                    new.append((ray, common | bit))
         rays = [
             (ray, act | bit if v == 0 else act) for (ray, act), v in zip(rays, values) if v <= 0
         ] + new
@@ -138,39 +169,41 @@ def _primitive(ray: list[int]) -> list[int]:
     return [x // g for x in ray]
 
 
-def _affine_coordinates(points: Sequence[Vec]) -> tuple[list[Vec], int]:
+def _affine_coordinates(points: Sequence[tuple[int, ...]]) -> tuple[list[tuple[int, ...]], int]:
     """Coordinates of `points` in their affine hull, and its dimension d.
 
     The d pivot coordinates of the differences from the first point are
     independent on the hull, so projecting onto them is injective.
     """
-    _, cols, _ = eliminate([[x - y for x, y in zip(p, points[0])] for p in points[1:]])
+    cols = _bareiss([[x - y for x, y in zip(p, points[0])] for p in points[1:]])[1]
     return [tuple(p[c] for c in cols) for p in points], len(cols)
 
 
-def triangulate(points: Sequence[Vec]) -> list[tuple[Vec, ...]]:
+def triangulate(points: Sequence[Sequence]) -> list[tuple[Sequence, ...]]:
     """Triangulate conv(points) into simplices of its affine dimension.
 
     Fans from the lexicographically smallest point at every recursion
-    level, so the decomposition is deterministic.
+    level, so the decomposition is deterministic.  Scaling the points to
+    integers keeps their order; the simplices hold the given points.
     """
-    pts = sorted(set(points))
-    return _fan(pts) if pts else []
+    ints, _ = _integer_points(points)
+    given = dict(zip(reversed(ints), reversed(points)))
+    return [tuple(given[p] for p in simplex) for simplex in _fan(ints)]
 
 
-def _fan(pts: list[Vec]) -> list[tuple[Vec, ...]]:
-    # pts is sorted and distinct, so pts[0] is the apex
+def _fan(points: list[tuple[int, ...]]) -> list[tuple[tuple[int, ...], ...]]:
+    pts = sorted(set(points))  # pts[0] is the apex
     coords, d = _affine_coordinates(pts)
     if len(pts) == d + 1:
         return [tuple(pts)]
-    simplices: list[tuple[Vec, ...]] = []
+    simplices = []
     for facet in _facets(coords, d):
         if 0 not in facet:
             simplices += [(pts[0],) + s for s in _fan([pts[i] for i in facet])]
     return simplices
 
 
-def _facets(coords: list[Vec], d: int) -> list[tuple[int, ...]]:
+def _facets(coords: list[tuple[int, ...]], d: int) -> list[tuple[int, ...]]:
     """Index sets of the facets of a full-dimensional point configuration.
 
     The facet inequalities <a, x> <= b are the extreme rays of the cone of
@@ -181,14 +214,13 @@ def _facets(coords: list[Vec], d: int) -> list[tuple[int, ...]]:
     return [tuple(sorted(act)) for ray, act in rays if any(ray[:d])]
 
 
-def simplex_volume(simplex: Sequence[Vec], n: int) -> Fraction:
-    rows = [[x - y for x, y in zip(p, simplex[0])] for p in simplex[1:]]
-    if len(rows) != n:
-        return Fraction(0)
-    return abs(eliminate(rows)[2]) / math.factorial(n)
+def polytope_volume(points: Sequence[Sequence], n: int) -> Fraction:
+    """Exact n-volume of conv(points); 0 when the hull is lower-dimensional.
 
-
-def polytope_volume(points: Sequence[Vec], n: int) -> Fraction:
-    """Exact n-volume of conv(points); 0 when the hull is lower-dimensional."""
-    simplices = triangulate([vec(p) for p in points])
-    return sum((simplex_volume(s, n) for s in simplices), Fraction(0))
+    The |det|s of the simplices of the integer-scaled points add up as
+    one int, which is divided by scale^n n! at the end.
+    """
+    ints, scale = _integer_points(points)
+    simplices = [s for s in _fan(ints) if len(s) == n + 1]
+    total = sum(abs(_bareiss([[x - y for x, y in zip(p, s[0])] for p in s[1:]])[2]) for s in simplices)
+    return Fraction(total, scale**n * math.factorial(n))

@@ -21,15 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .exactgeom import (
-    Vec,
-    dot,
-    double_description,
-    eliminate,
-    frac,
-    polytope_volume,
-    vec,
-)
+from .exactgeom import Vec, _bareiss, dot, double_description, frac, polytope_volume, vec
 
 __all__ = [
     "DegenerateIndicatorError",
@@ -150,7 +142,7 @@ def _diagram(points: Sequence[Vec], n: int) -> tuple[
     orthant = [[(-1 if k == n else 1) * int(i == k) for i in range(n + 1)] for k in range(n + 1)]
     rays = double_description(orthant + [list(J) + [1] for J in points], n + 1)
     active = [[ray for ray, act in rays if n + 1 + j in act] for j in range(len(points))]
-    hull = [j for j, on in enumerate(active) if len(eliminate(on)[1]) == n]
+    hull = [j for j, on in enumerate(active) if len(on) >= n and len(_bareiss(list(on))[1]) == n]
     vertices = sorted(
         (tuple(Fraction(x, ray[n]) for x in ray[:n]),
          tuple(points[j] for j in hull if n + 1 + j in act))
@@ -203,15 +195,8 @@ def dual_face(S: ExponentSet, t0: Sequence) -> tuple[Vec, ...]:
 
 
 def cone_volume(face_vertices: Sequence[Sequence], dimension: int) -> Fraction:
-    """Exact volume of conv({0} u face_vertices).
-
-    Computed by fanning a simplicial triangulation from the
-    lexicographically smallest vertex; each simplex contributes
-    |det| / n!.  Returns 0 when the cone is not full-dimensional.
-    """
-    origin = tuple(Fraction(0) for _ in range(dimension))
-    pts = [origin] + [vec(p) for p in face_vertices]
-    return polytope_volume(pts, dimension)
+    """Exact volume of conv({0} u face_vertices); 0 when the cone is not full-dimensional."""
+    return polytope_volume([(0,) * dimension, *face_vertices], dimension)
 
 
 def gamma_measure(S: ExponentSet) -> GammaMeasure:

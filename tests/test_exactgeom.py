@@ -6,11 +6,10 @@ import pytest
 from lelong.exactgeom import (
     frac,
     polytope_volume,
-    simplex_volume,
     triangulate,
     vec,
 )
-from exact_oracles import enumerate_vertices, hpolytope_volume, solve
+from exact_oracles import enumerate_vertices, fraction_simplex_volume, hpolytope_volume, solve
 
 
 def test_solve_square_basic():
@@ -46,7 +45,7 @@ def test_enumerate_vertices_unit_square():
 def test_triangulate_square_covers_area():
     square = [vec(p) for p in [(0, 0), (1, 0), (0, 1), (1, 1)]]
     simplices = triangulate(square)
-    assert sum(simplex_volume(s, 2) for s in simplices) == F(1)
+    assert sum(fraction_simplex_volume(s, 2) for s in simplices) == F(1)
 
 
 def test_polytope_volume_simplices():
@@ -67,7 +66,7 @@ def test_polytope_volume_nonsimplicial():
     assert polytope_volume(cube, 3) == F(1)
     simplices = triangulate([vec(p) for p in cube])
     assert len(simplices) == 6  # three squares away from the apex, two triangles each
-    assert all(simplex_volume(s, 3) == F(1, 6) for s in simplices)
+    assert all(fraction_simplex_volume(s, 3) == F(1, 6) for s in simplices)
 
 
 def test_hpolytope_volume_box_and_cut():
