@@ -186,31 +186,32 @@ def triangulate(points: Sequence[Sequence]) -> list[tuple[Sequence, ...]]:
     level, so the decomposition is deterministic.  Scaling the points to
     integers keeps their order; the simplices hold the given points.
     """
-    ints, _ = _integer_points(points)
+    ints, scale = _integer_points(points)
     given = dict(zip(reversed(ints), reversed(points)))
-    return [tuple(given[p] for p in simplex) for simplex in _fan(ints)]
+    return [tuple(given[p] for p in simplex) for simplex in _fan(ints, scale)]
 
 
-def _fan(points: list[tuple[int, ...]]) -> list[tuple[tuple[int, ...], ...]]:
+def _fan(points: list[tuple[int, ...]], scale: int) -> list[tuple[tuple[int, ...], ...]]:
     pts = sorted(set(points))  # pts[0] is the apex
     coords, d = _affine_coordinates(pts)
     if len(pts) == d + 1:
         return [tuple(pts)]
     simplices = []
-    for facet in _facets(coords, d):
+    for facet in _facets(coords, d, scale):
         if 0 not in facet:
-            simplices += [(pts[0],) + s for s in _fan([pts[i] for i in facet])]
+            simplices += [(pts[0],) + s for s in _fan([pts[i] for i in facet], scale)]
     return simplices
 
 
-def _facets(coords: list[tuple[int, ...]], d: int) -> list[tuple[int, ...]]:
-    """Index sets of the facets of a full-dimensional point configuration.
+def _facets(coords: list[tuple[int, ...]], d: int, scale: int) -> list[tuple[int, ...]]:
+    """Index sets of the facets of a full-dimensional configuration of points scaled by `scale`.
 
     The facet inequalities <a, x> <= b are the extreme rays of the cone of
     valid inequalities {(a, b) : <a, p_i> <= b}; the trivial one, a = 0,
-    is skipped.
+    is skipped.  The rows (c, -scale) are positive multiples of the rows
+    (c / scale, -1) of the given points, so the rays and their order are theirs.
     """
-    rays = double_description([list(c) + [-1] for c in coords], d + 1)
+    rays = double_description([list(c) + [-scale] for c in coords], d + 1)
     return [tuple(sorted(act)) for ray, act in rays if any(ray[:d])]
 
 
@@ -221,6 +222,6 @@ def polytope_volume(points: Sequence[Sequence], n: int) -> Fraction:
     one int, which is divided by scale^n n! at the end.
     """
     ints, scale = _integer_points(points)
-    simplices = [s for s in _fan(ints) if len(s) == n + 1]
+    simplices = [s for s in _fan(ints, scale) if len(s) == n + 1]
     total = sum(abs(_bareiss([[x - y for x, y in zip(p, s[0])] for p in s[1:]])[2]) for s in simplices)
     return Fraction(total, scale**n * math.factorial(n))
