@@ -143,6 +143,8 @@ def double_description(rows: Sequence[Sequence], d: int) -> list[tuple[tuple[int
         neg = [k for k, v in enumerate(values) if v < 0]
         acts = [act for _, act in rays]
         work += len(rays) + len(pos) * len(neg)
+        if work > MAX_DD_WORK:
+            raise BudgetExceeded(work, MAX_DD_WORK)
         new = []
         for p in pos:
             for q in neg:
