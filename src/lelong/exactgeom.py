@@ -25,6 +25,7 @@ from itertools import islice
 from typing import Iterable, Sequence
 
 Vec = tuple[Fraction, ...]
+Constraint = tuple[Vec, Fraction]  # (a, b) encodes <a, x> <= b
 
 MAX_DD_WORK = 2**21  # ray steps of one double-description pass
 
@@ -41,7 +42,9 @@ def frac(x) -> Fraction:
     """Coerce ints, strings like '3/4' and Fractions to Fraction."""
     if isinstance(x, Fraction):
         return x
-    if isinstance(x, (int, str)):
+    if isinstance(x, int):
+        return Fraction(x)
+    if isinstance(x, str):
         return Fraction(x)
     raise TypeError(f"expected an exact rational, got {type(x).__name__}: {x!r}")
 
@@ -56,8 +59,6 @@ def dot(u: Sequence[Fraction], v: Sequence[Fraction]) -> Fraction:
 
 def _integer_row(row: Sequence) -> tuple[list[int], int]:
     """The row times the least common denominator of its entries (what `frac` accepts), and that factor."""
-    if all(type(x) is int for x in row):
-        return list(row), 1
     pairs = [(x if type(x) is int else frac(x)).as_integer_ratio() for x in row]
     scale = math.lcm(*(q for _, q in pairs))
     return [p * (scale // q) for p, q in pairs], scale

@@ -28,11 +28,9 @@ from itertools import combinations, product
 from typing import Sequence
 
 from lelong.demailly import basis_norms, um_eval
-from lelong.exactgeom import Vec, double_description, eliminate, frac, vec
+from lelong.exactgeom import Constraint, Vec, double_description, eliminate, frac, vec
 from lelong.poly_geom import ExponentSet, dominated_hull, sublevel_vertices
 from lelong.weights import dimension_of, eval_expr
-
-Constraint = tuple[Vec, Fraction]  # (a, b) encodes <a, x> <= b
 
 
 def solve(rows: Sequence[Sequence], rhs: Sequence) -> Vec | None:
