@@ -38,11 +38,11 @@ from typing import Sequence
 
 import numpy as np
 
-from .exactgeom import Vec, dot, eliminate, triangulate
+from .exactgeom import Vec, _bareiss, _fan, dot
 from .indicator_calculus import _check_dimensions, _density, _tau
 from .numeric_oracle import DEFAULT_SCHEDULE, RadialSchedule, _swept_estimate
 from .poly_geom import ExponentSet, _diagram, _measure
-from .weights import CoordLog, MaxOf, PolyLog, Scale, _log_rows, _peak_shift
+from .weights import CoordLog, MaxOf, PolyLog, Scale, _log_rows, _peak_shift, _point_sums
 from .weights import dimension_of, eval_expr, indicator_support, is_multicircled, torus_values
 
 __all__ = [
@@ -102,7 +102,7 @@ class ApproxBasis:
     def torus_values(self, t, theta):
         peak, w = _peak_shift(self._log_terms(t))
         with np.errstate(divide="ignore"):
-            return (peak + np.log(w.sum(axis=0))) / (2.0 * self.m)
+            return (peak + np.log(_point_sums(w))) / (2.0 * self.m)
 
 
 def um_eval(basis: ApproxBasis, z: Sequence[complex]) -> float:
@@ -193,16 +193,19 @@ def _pl_cones(gens: list[Vec], n: int) -> list[tuple[list[tuple[int, ...]], Vec,
     The linearity cone of each hull vertex J and its extreme rays come
     from the double-description pass of `poly_geom._diagram`.  The cut of
     the cone at sum(s) = -1 is triangulated, and each simplex keeps the
-    primitive integer rays through its vertices.  A zero generator
+    primitive integer rays through its vertices.  The cut points are
+    scaled by L, the lcm of the -sum(v), to the integer points
+    v * (L / -sum(v)), and triangulated at that scale.  A zero generator
     (u = 0 on s <= 0) has the row lam <= 0, which leaves the orthant as
     the one cone.
     """
     cones = []
     for J, rays in _diagram(sorted(set(gens)), n)[1]:
-        by_cut = {tuple(Fraction(x, -sum(v)) for x in v): v for v in rays}
-        for simplex in triangulate(list(by_cut)):
+        scale = math.lcm(*(-sum(v) for v in rays))
+        by_cut = {tuple(x * (scale // -sum(v)) for x in v): v for v in rays}
+        for simplex in _fan(list(by_cut), scale):
             V = [by_cut[p] for p in simplex]
-            cones.append((V, J, int(abs(eliminate(V)[2]))))
+            cones.append((V, J, abs(_bareiss([list(v) for v in V])[2])))
     return cones
 
 
@@ -345,10 +348,7 @@ def sandwich_check(u, m_list: Sequence[int], degree_cap: int | None = None,
     c1_by_m = {}
     c2_by_m = {}
     for m, basis in bases:
-        peak, w = _peak_shift(basis._log_terms(t))
-        with np.errstate(divide="ignore"):
-            um = (peak + np.log(np.ascontiguousarray(w.T).sum(axis=1))) / (2.0 * m)
-        um = np.broadcast_to(um, (points,))
+        um = np.broadcast_to(basis.torus_values(t, theta), (points,))
         # Python's max, as in a per-point loop: a NaN term never wins
         c1_by_m[m] = max([0.0, *(m * (u_at[finite] - um[finite])).tolist()])
         c2_by_m[m] = math.exp(max([-math.inf, *(m * (um[owner] - sup_u) + log_r).tolist()]))

@@ -4,10 +4,13 @@ Estimates the defining limits of classical, directional and generalized
 Lelong densities by torus and sphere means over a schedule of shrinking
 radii, applies the atomic boundary measure to arbitrary evaluable
 weights, and measures the one-variable mass of a weight restricted to a
-coordinate hyperplane.  Every quadrature grid goes through one
-reduction, `_grid_mean`, which also enforces MAX_GRID_POINTS on the
-nominal grid of the mean; the swept-measure value and each level of the
-generalized estimate are one atom sum, `_swept_stats`.
+coordinate hyperplane.  Every mean is taken by one row routine,
+`_rows`: a row is one torus, given by its log-radii, and each probe
+passes all rows of its schedule at once (directional: one per level;
+swept: levels x atoms; classical: levels x radial nodes; slice: one per
+level, with one angle axis).  The rows take closed forms in one pass
+where they hold, and the others share one chunked grid, `_grid_rows`.
+MAX_GRID_POINTS bounds the nominal grid of each mean, not the batch.
 
 A torus mean of a bare or scaled `PolyLog` needs no grid where one of
 two closed forms holds (`_closed_mean`).  Where one term of a
@@ -19,17 +22,20 @@ univariate polynomial q, which Jensen's formula gives from the roots of
 q (`_line_mean`).  Both accept a point only where the clip floor clips
 no node of its torus or every node, and the line form only where no
 root of q lies within a relative 1e-6 of its circle; lines of degree
-above _MAX_LINE_DEGREE keep the grid.  A sphere mean takes the closed
-forms on each radial row where they hold and sends the other rows
-through one `_grid_mean`.
+above _MAX_LINE_DEGREE keep the grid.  A sphere level is the mean of
+its radial rows, closed or not.
 
 Determinism contract: fixed node grids and an exact sum, so identical
 inputs produce bitwise-identical outputs.  A grid is evaluated in chunks,
 concurrently on up to one thread per available CPU, with at most 2^18
-points in flight; each chunk is reduced to exact bucket sums, and one
-math.fsum over the buckets of all chunks and the closed-form rows equals
-math.fsum of all the values.  No mean depends on the chunking, the
-thread count or the order in which chunks finish.  The roots of the
+points in flight; each chunk is reduced to exact bucket sums per row,
+and each mean is one math.fsum over the buckets of its own rows (and
+the exact parts of its closed-form rows, for a sphere), which equals
+math.fsum of its values.  A closed-form torus mean is returned as it
+is.  The per-point sums of the closed forms add the terms in the order
+of a one-point sum, so a batch of rows gives each row the bits of that
+row alone.  No mean depends on the batch, the chunking, the thread count
+or the order in which chunks finish.  The roots of the
 line form come from LAPACK through numpy.roots, which gives identical
 bits for identical inputs on one numpy build; they are cached per
 term tuple.
@@ -41,12 +47,14 @@ import math
 import os
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import repeat
 from typing import Sequence
 
 import numpy as np
 
 from .poly_geom import ExponentSet, _diagram, gamma_measure
-from .weights import PolyLog, Scale, _log_rows, _peak_shift, depends_on_theta, dimension_of, torus_values
+from .weights import (PolyLog, Scale, _log_rows, _peak_shift, _point_sums, depends_on_theta, dimension_of,
+                      torus_values)
 
 __all__ = [
     "CLIP_FLOOR",
@@ -92,6 +100,10 @@ _CIRCLE_MARGIN = 1e-6
 
 # Points evaluated at once: 2^18, 4 MiB per complex128 array.
 _CHUNK_POINTS = 2**18
+
+# Grid rows in one chunk: each has 4096 buckets, so a bucket array of
+# 64 rows takes 2 MiB.
+_BUCKET_ROWS = 64
 
 # Per-axis grid offsets in units of the node spacing.  Golden-ratio
 # multiples guarantee that no integer combination of angles ever lands
@@ -179,32 +191,40 @@ def _theta_grids(n: int, nodes: int, ndim: int | None = None) -> list[np.ndarray
     return grids
 
 
-def _exact_parts(x: np.ndarray) -> list[float]:
-    """Floats whose math.fsum equals math.fsum(x), for at most 2^26 values.
+def _exact_parts(x: np.ndarray) -> list[list[float]]:
+    """For each row of the 2-D x, floats whose math.fsum equals that of the row.
 
-    Finite values are bucketed by their top 12 bits (sign and exponent).
-    Within a bucket, hi (x with the low 26 mantissa bits cleared) and
-    lo = x - hi are multiples of one power of two and short enough that
-    2^26 of them sum exactly in float64, so the two bincount sums per
-    bucket are exact whatever their order.  Non-finite values pass
-    through as they are, and a signed zero stands for an all-zero x.
+    For rows of at most 2^26 values.  Finite values are bucketed by row
+    and by their top 12 bits (sign and exponent).  Within a bucket, hi (x
+    with the low 26 mantissa bits cleared) and lo = x - hi are multiples
+    of one power of two and short enough that 2^26 of them sum exactly in
+    float64, so the two bincount sums per bucket are exact whatever their
+    order.  Non-finite values pass through as they are, and a signed zero
+    stands for an all-zero row.
     """
-    x = x.ravel()
-    parts: list[float] = []
+    rows = x.shape[0]
+    parts: list[list[float]] = [[] for _ in range(rows)]
     finite = np.isfinite(x)
     if not finite.all():
-        parts.extend(x[~finite].tolist())
-        x = x[finite]
+        i, j = np.nonzero(~finite)
+        for row, value in zip(i.tolist(), x[i, j].tolist()):
+            parts[row].append(value)
+        x = np.where(finite, x, 0.0)
     bits = x.view(np.uint64)
-    key = (bits >> np.uint64(52)).view(np.int64)
+    key = ((bits >> np.uint64(52)).view(np.int64) + 4096 * np.arange(rows)[:, None]).ravel()
     hi = (bits & ~np.uint64(2**26 - 1)).view(np.float64)
-    hi_sums = np.bincount(key, weights=hi, minlength=4096)
+    hi_sums = np.bincount(key, weights=hi.ravel(), minlength=4096 * rows)
     # lo = x - hi overwrites hi, whose sums are taken
-    lo_sums = np.bincount(key, weights=np.subtract(x, hi, out=hi), minlength=4096)
-    for sums in (hi_sums, lo_sums):
-        parts.extend(sums[sums != 0].tolist())
-    if not parts and x.size:
-        parts.append(-0.0 if np.signbit(x).all() else 0.0)
+    lo_sums = np.bincount(key, weights=np.subtract(x, hi, out=hi).ravel(), minlength=4096 * rows)
+    for sums in (hi_sums.reshape(rows, 4096), lo_sums.reshape(rows, 4096)):
+        nonzero = sums != 0
+        values, end = sums[nonzero].tolist(), 0
+        for row, count in zip(parts, nonzero.sum(axis=1).tolist()):
+            row += values[end:end + count]
+            end += count
+    for row, values in zip(parts, x):
+        if not row and values.size:
+            row.append(-0.0 if np.signbit(values).all() else 0.0)
     return parts
 
 
@@ -257,33 +277,21 @@ def _check_grid(total: int) -> None:
         raise ValueError(f"quadrature grid of {total} points exceeds the limit of {MAX_GRID_POINTS}")
 
 
-def _grid_mean(w, t, theta, shape, floor: float, known=((), 1)):
-    """(mean, clipped, total) of w clipped at floor over the broadcast grid.
+def _grid_rows(w, t, theta, shape, floor: float):
+    """(parts, clipped) of each row of w clipped at floor over the broadcast grid.
 
-    known = (values, points) adds rows outside shape whose mean is known
-    in closed form: each value stands for points grid points of that
-    value.  They count in the total and the clip count, and join the one
-    fsum exactly.  A total of more than MAX_GRID_POINTS points raises
-    ValueError before anything is evaluated.  theta may be a function of
-    no arguments that gives the angle arrays; it is called only for a
-    grid under the cap, so that an oversized grid allocates nothing.
-
-    Evaluates the grid in chunks on min(CPUs, ceil(points /
+    The leading axis of shape indexes the rows: parts[i] are exact parts
+    of the sum of row i's clipped values, clipped[i] counts its values
+    below floor.  Evaluates the grid in chunks on min(CPUs, ceil(points /
     _CHUNK_POINTS)) threads, each chunk of at most _CHUNK_POINTS //
-    threads points, so that at most _CHUNK_POINTS points are in flight;
-    one thread runs inline.  Every chunk is reduced to exact bucket
-    sums, and one math.fsum over all of them gives the mean:
-    bit-identical to fsum of all values whatever the chunking, the
-    thread count or the order in which chunks finish.  An exception in
-    a chunk cancels the chunks not yet started and re-raises here.
+    threads points and _BUCKET_ROWS rows, so at most _CHUNK_POINTS points
+    are in flight; one thread runs inline.  fsum of a row's parts equals
+    that of its values whatever the chunking, the thread count or the
+    order in which chunks finish.  An exception in a chunk cancels the
+    chunks not yet started and re-raises here.
     """
-    values, points = np.asarray(known[0], dtype=float), known[1]
-    grid = math.prod(shape)
-    total = grid + values.size * points
-    _check_grid(total)
-    if callable(theta):
-        theta = theta()
-    workers = max(1, min(_cpus(), -(-grid // _CHUNK_POINTS)))
+    rows, row_points = shape[0], math.prod(shape[1:])
+    workers = max(1, min(_cpus(), -(-rows * row_points // _CHUNK_POINTS)))
 
     def chunk(box):
         sub = tuple(len(range(*s.indices(n))) for s, n in zip(box, shape))
@@ -293,10 +301,11 @@ def _grid_mean(w, t, theta, shape, floor: float, known=((), 1)):
         fresh = vals.shape == sub and vals.flags.owndata and vals.flags.writeable
         out = vals if fresh else None
         vals = np.broadcast_to(vals, sub)
-        clipped = int(np.count_nonzero(vals < floor))
-        return clipped, _exact_parts(np.maximum(vals, floor, out=out))
+        clipped = np.count_nonzero((vals < floor).reshape(sub[0], -1), axis=1)
+        vals = np.maximum(vals, floor, out=out).reshape(sub[0], -1)
+        return box[0].start, clipped, _exact_parts(vals)
 
-    boxes = _chunks(shape, max(1, _CHUNK_POINTS // workers))
+    boxes = _chunks(shape, max(1, min(_CHUNK_POINTS // workers, _BUCKET_ROWS * row_points)))
     if workers == 1:
         results = [chunk(box) for box in boxes]
     else:
@@ -309,10 +318,13 @@ def _grid_mean(w, t, theta, shape, floor: float, known=((), 1)):
             finally:
                 for f in pending:
                     f.cancel()
-    results.append((points * int(np.count_nonzero(values < floor)),
-                    _repeat_parts(np.maximum(values, floor), points)))
-    mean = math.fsum(p for _, parts in results for p in parts) / total
-    return mean, sum(c for c, _ in results), total
+    parts: list[list[float]] = [[] for _ in range(rows)]
+    clipped = np.zeros(rows, dtype=np.int64)
+    for start, counts, chunk_parts in results:
+        clipped[start:start + len(counts)] += counts
+        for row, more in zip(parts[start:], chunk_parts):
+            row += more
+    return parts, clipped
 
 
 @lru_cache(maxsize=1024)
@@ -361,7 +373,7 @@ def _dominant_mean(w, t, floor: float):
     log_c = np.array([math.log(abs(c)) for c, _ in w.terms])
     g = _log_rows(log_c, np.array(exponents, dtype=float), t)
     peak, shifted = _peak_shift(g)
-    s = shifted.sum(axis=0)
+    s = _point_sums(shifted)
     margin = _DOMINANCE_MARGIN * (len(exponents) + len(t) * (np.abs(peak) + np.abs(log_c).max()))
     with np.errstate(invalid="ignore", divide="ignore"):
         low, high = factor * (peak + np.log(2.0 - s)), factor * (peak + np.log(s))
@@ -466,7 +478,7 @@ def _line_mean(w, t, floor: float):
         mean = factor * (lead + top.sum(axis=-1))
         low = factor * (lead + np.where(near, -np.inf, top + np.log(-np.expm1(-gap))).sum(axis=-1))
         peak, shifted = _peak_shift(_log_rows(line.log_c, line.degrees[:, None], (s,)))
-        high = factor * (A + peak + np.log(shifted.sum(axis=0)))
+        high = factor * (A + peak + np.log(_point_sums(shifted)))
         accept = np.where(mean >= floor, low >= floor, high < floor)
     return np.where(accept, mean, np.nan)
 
@@ -485,111 +497,122 @@ def _closed_mean(w, t, floor: float):
     return means
 
 
-def _torus_stats(w, t: Sequence[float], nodes: int):
+def _rows(w, t, nodes: int, angles: Sequence[int] | None = None):
+    """Lists (means, clipped, parts) over the tori of R rows of log-radii.
+
+    t holds one array of R log-radii per axis; angles are the axes with
+    node angles (all by default, one for a slice), so a row has size =
+    nodes**len(angles) nodes.  Over all axes, one decision takes the
+    closed rows: a theta-independent weight at one node per row in one
+    `torus_values` call, else one `_closed_mean` pass.  A closed mean is
+    clipped at CLIP_FLOOR (all nodes or none) and its parts are None.
+    The other rows share one `_grid_rows` grid; each mean is the fsum of
+    the row's parts over size.  The cap applies to size wherever a grid
+    may be built.
+    """
     n = len(t)
-    t = tuple(float(x) for x in t)
-    total = nodes**n
-    if not depends_on_theta(w):
-        # theta-independent weight: one node represents the whole torus
-        val = torus_values(w, t, (0.0,) * n)
+    angles = range(n) if angles is None else angles
+    t = [np.asarray(x, dtype=float) for x in t]
+    size = nodes ** len(angles)
+    if len(angles) == n and not depends_on_theta(w):
+        means = np.broadcast_to(torus_values(w, t, (0.0,) * n), t[0].shape)
+        grid = np.zeros(t[0].shape, dtype=bool)
     else:
-        _check_grid(total)
-        val = _closed_mean(w, t, CLIP_FLOOR)
-        if val is None or np.isnan(val):
-            return _grid_mean(w, t, lambda: _theta_grids(n, nodes), (nodes,) * n, CLIP_FLOOR)
-    if val < CLIP_FLOOR:
-        return CLIP_FLOOR, total, total
-    return float(val), 0, total
+        _check_grid(size)
+        means = _closed_mean(w, t, CLIP_FLOOR) if len(angles) == n else None
+        means = np.full(t[0].shape, np.nan) if means is None else means
+        grid = np.isnan(means)
+    clipped = [size if low else 0 for low in (means < CLIP_FLOOR).tolist()]
+    means = np.maximum(means, CLIP_FLOOR)
+    parts = [None] * means.size
+    rows = np.flatnonzero(grid)
+    if rows.size:
+        theta = [0.0] * n
+        for k, g in zip(angles, _theta_grids(len(angles), nodes, len(angles) + 1)):
+            theta[k] = g
+        lead = (rows.size,) + (1,) * len(angles)
+        grid_parts, grid_clipped = _grid_rows(w, [x[rows].reshape(lead) for x in t], theta,
+                                              (rows.size,) + (nodes,) * len(angles), CLIP_FLOOR)
+        for i, row, c in zip(rows.tolist(), grid_parts, grid_clipped.tolist()):
+            parts[i], means[i], clipped[i] = row, math.fsum(row) / size, c
+    return means.tolist(), clipped, parts
 
 
 def torus_mean(w, t: Sequence[float], nodes: int) -> float:
     """Mean of w over the torus |z_k| = exp(t_k): closed form or tensor quadrature.
 
-    Where one Newton-vertex term of a bare or scaled polynomial log
-    dominates, the mean is that term's log-modulus (the Ronkin function
-    is affine there) and no grid is built.  Elsewhere, a polynomial
-    whose exponents lie on one line takes Jensen's formula for the
-    univariate polynomial along it, unless a root lies on the circle
-    within the margin, the clip floor would cut through the values of
-    the torus, or the line is of degree above _MAX_LINE_DEGREE; the
-    roots are bit-reproducible on one numpy build.  Otherwise values below
-    CLIP_FLOOR (including -inf) are clipped at CLIP_FLOOR; the
-    log-singularities this tames are integrable, so the bias is below
-    the schedule tolerances at 64+ nodes per angle.  The grid cap
-    applies to the nominal nodes**n grid either way.
+    A bare or scaled polynomial log takes the exact Ronkin value where
+    one Newton-vertex term dominates, and Jensen's formula where its
+    exponents lie on one line, with the margins, floor rule and degree
+    limit of the module docstring.  Otherwise values below CLIP_FLOOR
+    (including -inf) are clipped at CLIP_FLOOR; the log-singularities
+    this tames are integrable, so the bias is below the schedule
+    tolerances at 64+ nodes per angle.  The grid cap applies to the
+    nominal nodes**n grid either way.
     """
     if any(x >= 0 for x in t):
         raise ValueError("torus radii must satisfy t_k < 0")
     if nodes < 64:
         raise ValueError("nodes must be at least 64")
-    mean, _, _ = _torus_stats(w, t, nodes)
-    return mean
+    return _rows(w, [[x] for x in t], nodes)[0][0]
 
 
 def _equal_area_log_profiles(n: int, radial_nodes: int) -> list[np.ndarray]:
-    """log of each |omega_k| for an equal-area product grid on the unit sphere.
+    """log of each |omega_k| over the radial rows of an equal-area product grid on the unit sphere.
 
     The squared moduli of a uniformly distributed point on the unit
     sphere of C^n are uniform on the simplex; midpoint grids in the
-    simplex parameters give the product rule.
+    simplex parameters give the product rule, one row per grid point.
     """
+    s = (np.arange(radial_nodes) + 0.5) / radial_nodes
     if n == 1:
         return [np.zeros(1)]
     if n == 2:
-        s = (np.arange(radial_nodes) + 0.5) / radial_nodes
-        shape = (radial_nodes, 1, 1)
-        return [
-            0.5 * np.log1p(-s).reshape(shape),
-            0.5 * np.log(s).reshape(shape),
-        ]
+        return [0.5 * np.log1p(-s), 0.5 * np.log(s)]
     if n == 3:
-        u = (np.arange(radial_nodes) + 0.5) / radial_nodes
-        v = (np.arange(radial_nodes) + 0.5) / radial_nodes
-        su = np.sqrt(u)[:, None]
-        b1 = 1.0 - su + 0.0 * v[None, :]
-        b2 = su * (1.0 - v)[None, :]
-        b3 = su * v[None, :]
-        shape = (radial_nodes, radial_nodes, 1, 1, 1)
-        return [
-            0.5 * np.log(b1).reshape(shape),
-            0.5 * np.log(b2).reshape(shape),
-            0.5 * np.log(b3).reshape(shape),
-        ]
+        su = np.sqrt(s)[:, None]
+        moduli = (1.0 - su + 0.0 * s[None, :], su * (1.0 - s)[None, :], su * s[None, :])
+        return [0.5 * np.log(b).ravel() for b in moduli]
     raise ValueError("sphere means are implemented for dimensions 1..3 only")
 
 
-def _sphere_stats(w, r: float, nodes: int, dim: int, radial_nodes: int | None = None):
-    if r >= 0:
-        raise ValueError("radius exponent must be negative")
-    n = dim
+def _sphere_levels(w, levels, nodes: int, n: int, radial_nodes: int | None = None):
+    """(mean, clipped, total) of the sphere |z| = exp(r) in C^n for each r in levels.
+
+    One torus row per radial node of each level, all in one `_rows`
+    call; a level's mean is one fsum over the parts of its rows.  A
+    theta-independent weight counts one node per radial row.  The cap
+    applies to the nominal grid of one level.
+    """
     if radial_nodes is None:
         radial_nodes = 64 if n == 2 else 16
     profiles = _equal_area_log_profiles(n, radial_nodes)
-    t = tuple(r + p for p in profiles)
     if not depends_on_theta(w):
-        return _grid_mean(w, t, (0.0,) * n, profiles[0].shape, CLIP_FLOOR)
-    # one n-torus per radial node: closed forms where they hold, and one
-    # grid of a radial axis and n angle axes for the other rows
-    rows = math.prod(profiles[0].shape[:-n])
-    t = tuple(x.reshape((rows,) + (1,) * n) for x in t)
-    means = _closed_mean(w, t, CLIP_FLOOR)
-    means = np.full(rows, np.nan) if means is None else means.reshape(rows)
-    grid = np.isnan(means)
-    return _grid_mean(w, tuple(x[grid] for x in t), lambda: _theta_grids(n, nodes, n + 1),
-                      (int(grid.sum()),) + (nodes,) * n, CLIP_FLOOR, known=(means[~grid], nodes**n))
+        nodes = 1
+    rows, size = profiles[0].size, nodes**n
+    _check_grid(rows * size)
+    means, clipped, parts = _rows(w, [np.add.outer(np.asarray(levels, dtype=float), p).ravel()
+                                      for p in profiles], nodes)
+    stats = []
+    for i in range(0, len(means), rows):
+        level = range(i, i + rows)
+        closed = _repeat_parts(np.array([means[j] for j in level if parts[j] is None]), size)
+        level_parts = [x for j in level if parts[j] is not None for x in parts[j]]
+        stats.append((math.fsum(level_parts + closed) / (rows * size),
+                      sum(clipped[i:i + rows]), rows * size))
+    return stats
 
 
 def sphere_mean(w, r: float, nodes: int, dim: int, radial_nodes: int | None = None) -> float:
     """Mean of w over the sphere |z| = exp(r) in C^dim (uniform measure).
 
-    An equal-area product rule: one n-torus per radial node.  Each torus
-    takes a closed form of `torus_mean` where one holds (a dominant
-    vertex term, or Jensen's formula along a line of exponents, with
-    the same floor rule, margin and degree limit), and the others share
-    one grid, with the cap on the nominal grid.
+    An equal-area product rule: one n-torus per radial node, each taking
+    a closed form of `torus_mean` where one holds, and the others one
+    grid, with the cap on the nominal grid.
     """
-    mean, _, _ = _sphere_stats(w, r, nodes, dim, radial_nodes)
-    return mean
+    if r >= 0:
+        raise ValueError("radius exponent must be negative")
+    return _sphere_levels(w, (r,), nodes, dim, radial_nodes)[0][0]
 
 
 def _extrapolate(levels: list[float], ys: list[float], mode: str):
@@ -606,29 +629,23 @@ def _extrapolate(levels: list[float], ys: list[float], mode: str):
     return value, stderr
 
 
-def _sweep_levels(fn, sched: RadialSchedule, what: str) -> LimitEstimate:
+def _sweep_levels(stats, sched: RadialSchedule, what: str) -> LimitEstimate:
+    """The estimate from (mean, clipped, total) of each level of sched, in order."""
     per_level = []
     usable_levels: list[float] = []
     usable_ys: list[float] = []
-    for r in sched.levels:
-        mean, clipped, total = fn(r)
+    for r, (mean, clipped, total) in zip(sched.levels, stats):
         if clipped == total:
-            raise NonPshStarProbeError(
-                f"non-PSH_* probe: every node clipped at level r={r} during {what}"
-            )
+            raise NonPshStarProbeError(f"non-PSH_* probe: every node clipped at level r={r} during {what}")
         y = mean / r
         rejected = clipped > _CLIP_REJECT_FRACTION * total
-        per_level.append(
-            {"r": r, "mean": mean, "ratio": y, "clipped": clipped, "nodes": total,
-             "rejected": rejected}
-        )
+        per_level.append({"r": r, "mean": mean, "ratio": y, "clipped": clipped, "nodes": total,
+                          "rejected": rejected})
         if not rejected:
             usable_levels.append(r)
             usable_ys.append(y)
     if len(usable_ys) < 2:
-        raise NonPshStarProbeError(
-            f"fewer than two usable levels during {what}; deepen the schedule"
-        )
+        raise NonPshStarProbeError(f"fewer than two usable levels during {what}; deepen the schedule")
     value, stderr = _extrapolate(usable_levels, usable_ys, sched.extrapolation)
     diagnostics = {
         "levels": per_level,
@@ -658,12 +675,9 @@ def directional_lelong_numeric(w, a: Sequence[float], sched: RadialSchedule = DE
         raise ValueError("direction dimension mismatch")
     if any(x <= 0 for x in av):
         raise ValueError("direction must be strictly positive")
-
-    def level(r):
-        t = tuple(r * x for x in av)
-        return _torus_stats(w, t, sched.angular_nodes)
-
-    return _sweep_levels(level, sched, "directional probe")
+    means, clipped, _ = _rows(w, [np.multiply(sched.levels, x) for x in av], sched.angular_nodes)
+    total = sched.angular_nodes ** len(av)
+    return _sweep_levels(zip(means, clipped, repeat(total)), sched, "directional probe")
 
 
 def classical_lelong_numeric(w, sched: RadialSchedule = DEFAULT_SCHEDULE, dim: int | None = None,
@@ -676,11 +690,8 @@ def classical_lelong_numeric(w, sched: RadialSchedule = DEFAULT_SCHEDULE, dim: i
     n = dim if dim is not None else dimension_of(w)
     if n not in (1, 2, 3):
         raise ValueError("classical estimates support dimensions 1..3 only")
-
-    def level(r):
-        return _sphere_stats(w, r, sched.angular_nodes, n, radial_nodes)
-
-    est = _sweep_levels(level, sched, "sphere probe")
+    est = _sweep_levels(_sphere_levels(w, sched.levels, sched.angular_nodes, n, radial_nodes), sched,
+                        "sphere probe")
     diag = directional_lelong_numeric(w, (1.0,) * n, sched, n)
     merged = dict(est.diagnostics)
     merged["directional_at_ones"] = diag.value
@@ -698,26 +709,29 @@ def _atom_radii(t0, r: float) -> tuple[float, ...]:
     return tuple(abs(r) * float(x) for x in t0)
 
 
-def _swept_stats(gm, w, r: float, nodes: int):
-    """(n! * sum of mass * mean, clipped, total) over the atoms of gm.
+def _swept_levels(gm, w, levels, nodes: int):
+    """(n! * sum of mass * mean, clipped, total) over the atoms of gm, for each r in levels.
 
-    Each atom t0 contributes the torus mean of w at radii |r| * t0.
-    Every atom is checked against the coordinate walls, and then nodes,
-    before any mean is taken.
+    Each atom t0 contributes the torus mean of w at radii |r| * t0, all
+    levels and atoms in one `_rows` call.  Every atom is checked against
+    the coordinate walls, and then nodes, before any mean is taken.
     """
-    radii = [_atom_radii(t0, r) for t0, _ in gm.atoms]
+    t0s = [_atom_radii(t0, -1.0) for t0, _ in gm.atoms]
     if nodes < 64:
         raise ValueError("nodes must be at least 64")
-    total = 0.0
-    clipped = 0
-    count = 0
-    for t, (_, mass) in zip(radii, gm.atoms):
-        mean, c, tot = _torus_stats(w, t, nodes)
-        total += mean * float(mass)
-        clipped += c
-        count += tot
-    n = len(radii[0]) if radii else 0  # without atoms the sum is 0 in any dimension
-    return math.factorial(n) * total, clipped, count
+    if not t0s:  # without atoms the sum is 0 in any dimension
+        return [(0.0, 0, 0)] * len(levels)
+    n, count = len(t0s[0]), len(t0s)
+    t = np.multiply.outer(np.abs(np.asarray(levels, dtype=float)), np.array(t0s))
+    means, clipped, _ = _rows(w, list(np.ascontiguousarray(t.reshape(-1, n).T)), nodes)
+    masses = [float(mass) for _, mass in gm.atoms]
+    stats = []
+    for i in range(0, len(means), count):
+        total = 0.0
+        for mean, mass in zip(means[i:i + count], masses):
+            total += mean * mass
+        stats.append((math.factorial(n) * total, sum(clipped[i:i + count]), count * nodes**n))
+    return stats
 
 
 def swept_measure_apply(S_phi: ExponentSet, w, r: float, nodes: int) -> float:
@@ -728,7 +742,7 @@ def swept_measure_apply(S_phi: ExponentSet, w, r: float, nodes: int) -> float:
     """
     if r >= 0:
         raise ValueError("level must be negative")
-    return _swept_stats(gamma_measure(S_phi), w, r, nodes)[0]
+    return _swept_levels(gamma_measure(S_phi), w, (r,), nodes)[0][0]
 
 
 def generalized_lelong_numeric(S_phi: ExponentSet, w, sched: RadialSchedule = DEFAULT_SCHEDULE) -> LimitEstimate:
@@ -738,12 +752,8 @@ def generalized_lelong_numeric(S_phi: ExponentSet, w, sched: RadialSchedule = DE
 
 def _swept_estimate(gm, w, sched: RadialSchedule) -> LimitEstimate:
     """The swept-measure sweep of w over the atoms of gm."""
-
-    def level(r):
-        mean, clipped, count = _swept_stats(gm, w, r, sched.angular_nodes)
-        return mean, clipped, max(count, 1)
-
-    return _sweep_levels(level, sched, "swept-measure probe")
+    stats = _swept_levels(gm, w, sched.levels, sched.angular_nodes)
+    return _sweep_levels(((m, c, max(k, 1)) for m, c, k in stats), sched, "swept-measure probe")
 
 
 def slice_lelong(w, axis: int, sched: RadialSchedule = DEFAULT_SCHEDULE, dim: int = 2) -> LimitEstimate:
@@ -757,25 +767,14 @@ def slice_lelong(w, axis: int, sched: RadialSchedule = DEFAULT_SCHEDULE, dim: in
         raise ValueError("slice estimates are implemented for dimension 2 only")
     if axis not in (1, 2):
         raise ValueError("axis must be 1 or 2")
-    other = 2 - (axis - 1) - 1  # 0-based index of the surviving variable
-
-    def theta():
-        angles = [0.0, 0.0]
-        angles[other] = _theta_grids(1, sched.angular_nodes)[0]
-        return angles
-
-    def level(r):
-        t = [0.0, 0.0]
-        t[axis - 1] = float("-inf")
-        t[other] = r
-        mean, clipped, total = _grid_mean(w, t, theta, (sched.angular_nodes,), CLIP_FLOOR)
-        if clipped == total:
-            raise SliceUndefinedError(
-                f"slice undefined: restriction to z_{axis} = 0 is identically -inf"
-            )
-        return mean, clipped, total
-
-    return _sweep_levels(level, sched, f"slice probe on axis {axis}")
+    other = 2 - axis  # 0-based index of the surviving variable
+    t = [np.full(len(sched.levels), -np.inf)] * 2
+    t[other] = np.array(sched.levels, dtype=float)
+    means, clipped, _ = _rows(w, t, sched.angular_nodes, angles=(other,))
+    if sched.angular_nodes in clipped:
+        raise SliceUndefinedError(f"slice undefined: restriction to z_{axis} = 0 is identically -inf")
+    return _sweep_levels(zip(means, clipped, repeat(sched.angular_nodes)), sched,
+                         f"slice probe on axis {axis}")
 
 
 def indicator_profile(w, directions: Sequence[Sequence[float]],

@@ -187,6 +187,16 @@ def _peak_shift(g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         return peak, np.exp(np.where(peak == _NEG_INF, _NEG_INF, g - peak))
 
 
+def _point_sums(x: np.ndarray) -> np.ndarray:
+    """Sums over the leading axis of x, each in the order of a one-point sum.
+
+    numpy sums a 1-D array pairwise from 8 terms on, but a reduction over
+    axis 0 adds the rows in sequence; with that axis last and contiguous,
+    each point is summed as the 1-D array of its terms.
+    """
+    return np.ascontiguousarray(np.moveaxis(x, 0, -1)).sum(axis=-1)
+
+
 def _polylog_values(w: PolyLog, t, theta) -> np.ndarray:
     """log|sum_J c_J z^J| as peak + log|sum_J a_J (c_J/|c_J|) prod_k e^(i J_k theta_k)|.
 

@@ -18,7 +18,9 @@ ran before its array pass.  `fraction_eliminate`,
 `fraction_double_description`, `fraction_triangulate` and
 `fraction_polytope_volume` are the polyhedral kernel as it was before it
 ran on integers: every entry goes through `Fraction`, and every simplex
-volume is a `Fraction` of its own.
+volume is a `Fraction` of its own.  `fraction_pl_cones` is the cone fan
+of `demailly._pl_cones` cut at sum(s) = -1 in `Fraction` points, as it
+was before the cut was scaled to integers.
 """
 
 import math
@@ -29,7 +31,7 @@ from typing import Sequence
 
 from lelong.demailly import basis_norms, um_eval
 from lelong.exactgeom import Constraint, Vec, double_description, eliminate, frac, vec
-from lelong.poly_geom import ExponentSet, dominated_hull, sublevel_vertices
+from lelong.poly_geom import ExponentSet, _diagram, dominated_hull, sublevel_vertices
 from lelong.weights import dimension_of, eval_expr
 
 
@@ -406,3 +408,14 @@ def fraction_polytope_volume(points: Sequence[Vec], n: int) -> Fraction:
     """Exact n-volume of conv(points); 0 when the hull is lower-dimensional."""
     simplices = fraction_triangulate([vec(p) for p in points])
     return sum((fraction_simplex_volume(s, n) for s in simplices), Fraction(0))
+
+
+def fraction_pl_cones(gens: list[Vec], n: int) -> list[tuple[list[tuple[int, ...]], Vec, int]]:
+    """(rays, J, |det rays|) of the simplicial cones of the fan, from Fraction cut points."""
+    cones = []
+    for J, rays in _diagram(sorted(set(gens)), n)[1]:
+        by_cut = {tuple(Fraction(x, -sum(v)) for x in v): v for v in rays}
+        for simplex in fraction_triangulate(list(by_cut)):
+            V = [by_cut[p] for p in simplex]
+            cones.append((V, J, int(abs(fraction_eliminate(V)[2]))))
+    return cones

@@ -6,17 +6,22 @@ complex exp of the summed phase per term, and reduces with
 factors in chunks and reduces with exact bucket sums; these slower
 references check it.  `polylog_values_per_term` is the per-term
 log-amplitude loop that the stacked log-sum-exp kernel of
-`lelong.weights` replaced, kept to check that kernel bit for bit.
+`lelong.weights` replaced, kept to check that kernel bit for bit.  The
+per-level means that the row routine of `lelong.numeric_oracle`
+replaced (`torus_stats`, `sphere_stats`, `swept_stats`, `slice_stats`,
+with their `grid_mean`) are kept as they were, to check its batches bit
+for bit; `grid_stats` reads the library's grid as one mean.
 """
 
 import cmath
 import math
+from concurrent import futures
 
 import numpy as np
 
 from lelong import numeric_oracle
 from lelong.numeric_oracle import CLIP_FLOOR
-from lelong.weights import PolyLog
+from lelong.weights import PolyLog, depends_on_theta, torus_values
 
 _GOLDEN = 0.6180339887498949
 
@@ -127,11 +132,14 @@ def slice_mean_ref(w: PolyLog, axis: int, r: float, nodes: int) -> float:
     return fsum_mean(polylog_values_exp(w, t, theta), (nodes,))
 
 
+def sphere_profiles(n: int, radial_nodes: int) -> list[np.ndarray]:
+    """The library's radial log-moduli of the sphere, shaped (rows, 1, ..., 1) for n angle axes."""
+    return [p.reshape((-1,) + (1,) * n) for p in numeric_oracle._equal_area_log_profiles(n, radial_nodes)]
+
+
 def sphere_grid_rows(w, r: float, n: int, radial_nodes: int) -> int:
     """Radial rows of a sphere level that the closed form does not take."""
-    profiles = numeric_oracle._equal_area_log_profiles(n, radial_nodes)
-    rows = math.prod(profiles[0].shape[:-n])
-    t = tuple((r + p).reshape((rows,) + (1,) * n) for p in profiles)
+    t = tuple(r + p for p in sphere_profiles(n, radial_nodes))
     return int(np.isnan(numeric_oracle._closed_mean(w, t, CLIP_FLOOR)).sum())
 
 
@@ -156,3 +164,153 @@ def line_mean_ref(w: PolyLog, t, nodes: int) -> float:
     acc = sum(math.exp(la - peak) * (c / abs(c)) * np.exp(1j * k * phi)
               for (c, _), la, k in zip(w.terms, logamps, ks))
     return peak + math.fsum(np.log(np.abs(acc)).tolist()) / nodes
+
+
+# ---------------------------------------------------------------------------
+# the per-level means that the row routine replaced, kept as they were:
+# one closed-form pass and one grid per torus, sphere level or slice level
+
+
+def exact_parts(x: np.ndarray) -> list[float]:
+    """Floats whose math.fsum equals math.fsum(x), for at most 2^26 values."""
+    x = x.ravel()
+    parts: list[float] = []
+    finite = np.isfinite(x)
+    if not finite.all():
+        parts.extend(x[~finite].tolist())
+        x = x[finite]
+    bits = x.view(np.uint64)
+    key = (bits >> np.uint64(52)).view(np.int64)
+    hi = (bits & ~np.uint64(2**26 - 1)).view(np.float64)
+    hi_sums = np.bincount(key, weights=hi, minlength=4096)
+    lo_sums = np.bincount(key, weights=np.subtract(x, hi, out=hi), minlength=4096)
+    for sums in (hi_sums, lo_sums):
+        parts.extend(sums[sums != 0].tolist())
+    if not parts and x.size:
+        parts.append(-0.0 if np.signbit(x).all() else 0.0)
+    return parts
+
+
+def grid_mean(w, t, theta, shape, floor: float, known=((), 1)):
+    """(mean, clipped, total) of w clipped at floor over the broadcast grid, in chunks."""
+    values, points = np.asarray(known[0], dtype=float), known[1]
+    grid = math.prod(shape)
+    total = grid + values.size * points
+    numeric_oracle._check_grid(total)
+    if callable(theta):
+        theta = theta()
+    workers = max(1, min(numeric_oracle._cpus(), -(-grid // numeric_oracle._CHUNK_POINTS)))
+
+    def chunk(box):
+        take = numeric_oracle._take
+        sub = tuple(len(range(*s.indices(n))) for s, n in zip(box, shape))
+        vals = torus_values(w, [take(x, box) for x in t], [take(x, box) for x in theta])
+        fresh = vals.shape == sub and vals.flags.owndata and vals.flags.writeable
+        out = vals if fresh else None
+        vals = np.broadcast_to(vals, sub)
+        clipped = int(np.count_nonzero(vals < floor))
+        return clipped, exact_parts(np.maximum(vals, floor, out=out))
+
+    boxes = numeric_oracle._chunks(shape, max(1, numeric_oracle._CHUNK_POINTS // workers))
+    if workers == 1:
+        results = [chunk(box) for box in boxes]
+    else:
+        with futures.ThreadPoolExecutor(workers) as pool:
+            pending = [pool.submit(chunk, box) for box in boxes]
+            try:
+                results = [f.result() for f in futures.as_completed(pending)]
+            finally:
+                for f in pending:
+                    f.cancel()
+    results.append((points * int(np.count_nonzero(values < floor)),
+                    numeric_oracle._repeat_parts(np.maximum(values, floor), points)))
+    mean = math.fsum(p for _, parts in results for p in parts) / total
+    return mean, sum(c for c, _ in results), total
+
+
+def torus_stats(w, t, nodes: int):
+    n = len(t)
+    t = tuple(float(x) for x in t)
+    total = nodes**n
+    if not depends_on_theta(w):
+        val = torus_values(w, t, (0.0,) * n)
+    else:
+        numeric_oracle._check_grid(total)
+        val = numeric_oracle._closed_mean(w, t, CLIP_FLOOR)
+        if val is None or np.isnan(val):
+            return grid_mean(w, t, lambda: numeric_oracle._theta_grids(n, nodes), (nodes,) * n, CLIP_FLOOR)
+    if val < CLIP_FLOOR:
+        return CLIP_FLOOR, total, total
+    return float(val), 0, total
+
+
+def sphere_stats(w, r: float, nodes: int, dim: int, radial_nodes: int | None = None):
+    if r >= 0:
+        raise ValueError("radius exponent must be negative")
+    n = dim
+    if radial_nodes is None:
+        radial_nodes = 64 if n == 2 else 16
+    profiles = sphere_profiles(n, radial_nodes)
+    t = tuple(r + p for p in profiles)
+    if not depends_on_theta(w):
+        return grid_mean(w, t, (0.0,) * n, profiles[0].shape, CLIP_FLOOR)
+    rows = math.prod(profiles[0].shape[:-n])
+    t = tuple(x.reshape((rows,) + (1,) * n) for x in t)
+    means = numeric_oracle._closed_mean(w, t, CLIP_FLOOR)
+    means = np.full(rows, np.nan) if means is None else means.reshape(rows)
+    grid = np.isnan(means)
+    return grid_mean(w, tuple(x[grid] for x in t), lambda: numeric_oracle._theta_grids(n, nodes, n + 1),
+                     (int(grid.sum()),) + (nodes,) * n, CLIP_FLOOR, known=(means[~grid], nodes**n))
+
+
+def swept_stats(gm, w, r: float, nodes: int):
+    radii = [numeric_oracle._atom_radii(t0, r) for t0, _ in gm.atoms]
+    if nodes < 64:
+        raise ValueError("nodes must be at least 64")
+    total = 0.0
+    clipped = 0
+    count = 0
+    for t, (_, mass) in zip(radii, gm.atoms):
+        mean, c, tot = torus_stats(w, t, nodes)
+        total += mean * float(mass)
+        clipped += c
+        count += tot
+    n = len(radii[0]) if radii else 0
+    return math.factorial(n) * total, clipped, count
+
+
+def slice_stats(w, axis: int, r: float, nodes: int):
+    other = 2 - (axis - 1) - 1
+
+    def theta():
+        angles = [0.0, 0.0]
+        angles[other] = numeric_oracle._theta_grids(1, nodes)[0]
+        return angles
+
+    t = [0.0, 0.0]
+    t[axis - 1] = float("-inf")
+    t[other] = r
+    return grid_mean(w, t, theta, (nodes,), CLIP_FLOOR)
+
+
+# ---------------------------------------------------------------------------
+# the library's row routine and grid, read as single means
+
+
+def row_stats(w, t, nodes: int):
+    """(mean, clipped, total) of the library's row routine on the one torus at t."""
+    means, clipped, _ = numeric_oracle._rows(w, [[x] for x in t], nodes)
+    return means[0], clipped[0], nodes ** len(t)
+
+
+def grid_stats(w, t, theta, shape, floor: float = CLIP_FLOOR):
+    """(mean, clipped, total) of the library's chunked grid, all its rows as one mean."""
+    parts, clipped = numeric_oracle._grid_rows(w, t, theta, shape, floor)
+    total = math.prod(shape)
+    return math.fsum(p for row in parts for p in row) / total, int(clipped.sum()), total
+
+
+def torus_grid(w, t, nodes: int):
+    """(mean, clipped, total) of the library's grid over the whole torus, with no closed form."""
+    n = len(t)
+    return grid_stats(w, t, numeric_oracle._theta_grids(n, nodes, n + 1), (1,) + (nodes,) * n)

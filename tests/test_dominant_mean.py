@@ -74,8 +74,7 @@ def test_means_match_fine_grids(n, nodes, top, cases):
         if not accepted(w, t) or dominance_sum(w, t) > 1.6:
             continue
         done += 1
-        grid, clipped, _ = numeric_oracle._grid_mean(
-            w, t, numeric_oracle._theta_grids(n, nodes), (nodes,) * n, CLIP_FLOOR)
+        grid, clipped, _ = grid_oracles.torus_grid(w, t, nodes)
         assert clipped == 0
         assert torus_mean(w, t, 64) == pytest.approx(grid, abs=1e-12)
 
@@ -126,13 +125,13 @@ def test_clip_floor_on_closed_forms():
     w = PolyLog.of([(1, (1, 0)), (0.5, (0, 1))])
     t = (-1.0, -1.0)
     # far below the floor every node is clipped, far above none
-    assert numeric_oracle._torus_stats(Scale(F(2 * 10**6), w), t, 64) == (CLIP_FLOOR, 64**2, 64**2)
-    assert numeric_oracle._torus_stats(Scale(F(10**5), w), t, 64) == (-10.0**5, 0, 64**2)
+    assert grid_oracles.row_stats(Scale(F(2 * 10**6), w), t, 64) == (CLIP_FLOOR, 64**2, 64**2)
+    assert grid_oracles.row_stats(Scale(F(10**5), w), t, 64) == (-10.0**5, 0, 64**2)
     # where the floor cuts through the values of the torus, the grid decides
     f = F(-CLIP_FLOOR)  # the mean is exactly the floor
     assert not accepted(Scale(f, w), t)
     assert np.isnan(numeric_oracle._closed_mean(Scale(f, w), t, CLIP_FLOOR))
-    mean, clipped, total = numeric_oracle._torus_stats(Scale(f, w), t, 64)
+    mean, clipped, total = grid_oracles.row_stats(Scale(f, w), t, 64)
     assert 0 < clipped < total
 
 
@@ -154,7 +153,7 @@ def test_sphere_level_fully_closed_form():
     # at r = -5 every row of z1^2 + i z2^3 - z1 z2 / 2 is dominated
     w = PolyLog.of([(1, (2, 0)), (1j, (0, 3)), (-0.5, (1, 1))])
     assert grid_oracles.sphere_grid_rows(w, -5.0, 2, 16) == 0
-    mean, clipped, total = numeric_oracle._sphere_stats(w, -5.0, 64, 2, radial_nodes=16)
+    mean, clipped, total = numeric_oracle._sphere_levels(w, (-5.0,), 64, 2, 16)[0]
     assert (clipped, total) == (0, 16 * 64**2)
     s = (np.arange(16) + 0.5) / 16
     t1, t2 = -5.0 + 0.5 * np.log1p(-s), -5.0 + 0.5 * np.log(s)

@@ -35,6 +35,11 @@ def same_float(a: float, b: float) -> bool:
     return (math.isnan(a) and math.isnan(b)) or (a == b and math.copysign(1, a) == math.copysign(1, b))
 
 
+def bucket_sum(xs) -> float:
+    """math.fsum of the exact parts of xs, taken as one row."""
+    return math.fsum(_exact_parts(np.asarray(xs, dtype=float).reshape(1, -1))[0])
+
+
 # ---------------------------------------------------------------------------
 # the exact bucket sum
 
@@ -58,7 +63,7 @@ _values = st.one_of(
 @example([1e300, -1e300, 1e-300, 5e-324])
 @example([1.0, 2.0**-53, 2.0**-53])
 def test_bucket_sum_equals_fsum(xs):
-    got = math.fsum(_exact_parts(np.array(xs, dtype=float)))
+    got = bucket_sum(xs)
     assert same_float(got, math.fsum(xs))
 
 
@@ -69,14 +74,33 @@ def test_bucket_sum_long_array():
     x[::97] = CLIP_FLOOR
     x[::101] = -0.0
     x[::103] = 1e-310
-    parts = _exact_parts(x)
+    parts = _exact_parts(x.reshape(1, -1))[0]
     assert len(parts) <= 2 * 4096
     assert same_float(math.fsum(parts), math.fsum(x.tolist()))
 
 
 def test_bucket_sum_non_finite():
     for xs in ([np.inf, 1.0], [-np.inf, -2.5, 0.0], [np.nan, 1.0], [1.0, np.inf, np.nan]):
-        assert same_float(math.fsum(_exact_parts(np.array(xs))), math.fsum(xs))
+        assert same_float(bucket_sum(xs), math.fsum(xs))
+
+
+def test_bucket_sums_keep_rows_apart():
+    # rows of mixed signs and magnitudes, an all-zero row of each sign,
+    # an empty-sum row of zeros, and rows with non-finite values
+    rng = np.random.default_rng(21)
+    x = rng.standard_normal((9, 300)) * 10.0 ** rng.integers(-300, 300, (9, 300))
+    x[1] = -0.0
+    x[2] = 0.0
+    x[3, ::2] = -0.0
+    x[4, 7] = np.inf
+    x[5, 3] = np.nan
+    x[6, :] = CLIP_FLOOR
+    x[7, 5], x[7, 9] = -np.inf, np.nan
+    parts = _exact_parts(x)
+    assert len(parts) == 9
+    for row, got in zip(x, parts):
+        assert same_float(math.fsum(got), math.fsum(row.tolist()))
+    assert _exact_parts(np.zeros((2, 0))) == [[], []]
 
 
 # ---------------------------------------------------------------------------
@@ -90,18 +114,15 @@ SCHED = RadialSchedule(levels=(-5.0, -10.0, -20.0), angular_nodes=64)
 SLICE_W = PolyLog.of([(1, (0, 2)), (-0.25, (1, 1)), (2, (0, 5))])
 
 
-def torus_grid(w, t, nodes: int):
-    """(mean, clipped, total) of the whole torus grid, with no closed form."""
-    n = len(t)
-    return numeric_oracle._grid_mean(w, t, numeric_oracle._theta_grids(n, nodes), (nodes,) * n, CLIP_FLOOR)
+torus_grid = grid_oracles.torus_grid
 
 
 def sphere_grid(w, r: float, nodes: int, n: int, radial: int):
     """(mean, clipped, total) of the whole sphere grid, with no closed form."""
-    profiles = numeric_oracle._equal_area_log_profiles(n, radial)
-    return numeric_oracle._grid_mean(
+    profiles = grid_oracles.sphere_profiles(n, radial)
+    return grid_oracles.grid_stats(
         w, tuple(r + p for p in profiles), numeric_oracle._theta_grids(n, nodes, profiles[0].ndim),
-        profiles[0].shape[:-n] + (nodes,) * n, CLIP_FLOOR)
+        profiles[0].shape[:-n] + (nodes,) * n)
 
 
 # name -> (means under the current chunk budget, grid shape)
@@ -141,7 +162,7 @@ def test_chunked_mean_is_fsum_of_the_whole_grid(monkeypatch):
     monkeypatch.setattr(numeric_oracle, "_CHUNK_POINTS", 1000)
     theta = numeric_oracle._theta_grids(3, 64)
     vals = np.maximum(np.broadcast_to(torus_values(w, t, theta), (64,) * 3), CLIP_FLOOR)
-    mean, clipped, total = numeric_oracle._grid_mean(w, t, theta, (64,) * 3, CLIP_FLOOR)
+    mean, clipped, total = torus_grid(w, t, 64)
     assert abs(mean) < 1e-9
     assert (clipped, total) == (0, 64**3)
     assert same_float(mean, math.fsum(vals.ravel().tolist()) / total)
@@ -187,21 +208,18 @@ def swept_row_kinds():
 # name -> ((mean, clipped, total) of every grid the case evaluates, grid size)
 WORKER_CASES = {
     "torus 2-D": (lambda: [torus_grid(W2, (-1.0, -2.0), 64)], 64**2),
-    "torus 3-D": (lambda: [numeric_oracle._torus_stats(W3, (-1.0, -2.0, -0.5), 32)], 32**3),
-    "torus tree": (lambda: [numeric_oracle._torus_stats(TREE, (-3.0, -1.0), 64)], 64**2),
-    "torus clipped": (lambda: [numeric_oracle._torus_stats(CLIPPING, (-1.0, -1.0), 64)], 64**2),
+    "torus 3-D": (lambda: [grid_oracles.row_stats(W3, (-1.0, -2.0, -0.5), 32)], 32**3),
+    "torus tree": (lambda: [grid_oracles.row_stats(TREE, (-3.0, -1.0), 64)], 64**2),
+    "torus clipped": (lambda: [grid_oracles.row_stats(CLIPPING, (-1.0, -1.0), 64)], 64**2),
     "sphere 2-D": (lambda: [sphere_grid(W2, -3.0, 64, 2, 16)], 16 * 64**2),
     # 14 of the 16 radial rows take the closed form, 2 go to the grid
-    "sphere mixed rows": (lambda: [numeric_oracle._sphere_stats(W2, -3.0, 64, 2, radial_nodes=16)],
-                          2 * 64**2),
-    "sphere 3-D": (lambda: [numeric_oracle._sphere_stats(W3, -2.0, 16, 3, radial_nodes=4)],
-                   4**2 * 16**3),
-    "sphere clipped": (lambda: [numeric_oracle._sphere_stats(CLIPPING, -1.0, 64, 2, radial_nodes=16)],
-                       16 * 64**2),
+    "sphere mixed rows": (lambda: numeric_oracle._sphere_levels(W2, (-3.0,), 64, 2, 16), 2 * 64**2),
+    "sphere 3-D": (lambda: numeric_oracle._sphere_levels(W3, (-2.0,), 16, 3, 4), 4**2 * 16**3),
+    "sphere clipped": (lambda: numeric_oracle._sphere_levels(CLIPPING, (-1.0,), 64, 2, 16), 16 * 64**2),
     "slice": (lambda: [(lv["mean"], lv["clipped"], lv["nodes"])
                        for lv in slice_lelong(SLICE_W, 1, SCHED).diagnostics["levels"]], 64),
     # one atom of each kind: dominance, rank-one and grid rows
-    "swept mixed rows": (lambda: [numeric_oracle._swept_stats(SWEPT_GM, SWEPT_W, -1.5, 64)], 64**2),
+    "swept mixed rows": (lambda: numeric_oracle._swept_levels(SWEPT_GM, SWEPT_W, (-1.5,), 64), 64**2),
 }
 
 
@@ -268,7 +286,7 @@ def test_points_in_flight_stay_under_the_budget(monkeypatch):
     monkeypatch.setattr(numeric_oracle, "_CHUNK_POINTS", 600)
     monkeypatch.setattr(numeric_oracle, "_cpus", lambda: 3)
     w = CachedWeight(np.zeros(()))
-    numeric_oracle._grid_mean(w, (-1.0, -1.0), numeric_oracle._theta_grids(2, 64), (64, 64), CLIP_FLOOR)
+    torus_grid(w, (-1.0, -1.0), 64)
     assert sum(w.sizes) == 64**2
     assert max(w.sizes) <= 600 // 3
 
@@ -277,13 +295,12 @@ def test_clipping_writes_no_input_and_no_array_the_evaluator_keeps():
     # a stored full-size array below the floor, and a sphere grid whose
     # moduli-only weight returns views of the caller's radial profile
     kept = np.full((64, 64), -2.0 * 10**6)
-    mean, clipped, _ = numeric_oracle._grid_mean(
-        CachedWeight(kept), (-1.0, -1.0), numeric_oracle._theta_grids(2, 64), (64, 64), CLIP_FLOOR)
+    mean, clipped, _ = torus_grid(CachedWeight(kept), (-1.0, -1.0), 64)
     assert (mean, clipped) == (CLIP_FLOOR, 64**2)
     assert (kept == -2.0 * 10**6).all()
     t = (np.linspace(-3.0, -1.0, 16).reshape(16, 1, 1), np.full((16, 1, 1), -1.0))
     before = [x.copy() for x in t]
-    mean, clipped, _ = numeric_oracle._grid_mean(CoordLog(1), t, (0.0, 0.0), (16, 1, 1), -2.0)
+    mean, clipped, _ = grid_oracles.grid_stats(CoordLog(1), t, (0.0, 0.0), (16, 1, 1), -2.0)
     assert clipped == 8 and mean == pytest.approx((-2.0 * 8 + float(t[0][8:].sum())) / 16)
     assert all((x == y).all() for x, y in zip(t, before))
 
@@ -371,8 +388,7 @@ def test_means_match_reference_on_edge_weights():
     single = PolyLog.of([(0.3 - 0.4j, (2, 1))])
     zero_exponents = PolyLog.of([(2.0, (0, 0)), (1j, (3, 0)), (-1, (0, 2))])
     for w in (single, zero_exponents):
-        got = numeric_oracle._grid_mean(
-            w, (-1.5, -0.5), numeric_oracle._theta_grids(2, 64), (64, 64), CLIP_FLOOR)[0]
+        got = torus_grid(w, (-1.5, -0.5), 64)[0]
         assert got == pytest.approx(grid_oracles.torus_mean_ref(w, (-1.5, -0.5), 64), abs=1e-12)
         got = sphere_mean(w, -2.0, 64, 2)
         assert got == pytest.approx(grid_oracles.sphere_mean_ref(w, -2.0, 64, 2, 64), abs=1e-12)

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lelong import exactgeom, poly_geom
+from lelong import demailly, exactgeom, poly_geom
 from lelong.cli import main
 from lelong.exactgeom import (
     MAX_DD_WORK,
@@ -23,10 +23,12 @@ from lelong.exactgeom import (
     triangulate,
 )
 from lelong.poly_geom import ExponentSet, cone_volume
+from lelong.weights import CoordLog, MaxOf, PolyLog, Scale, indicator_support
 
 from exact_oracles import (
     fraction_double_description,
     fraction_eliminate,
+    fraction_pl_cones,
     fraction_polytope_volume,
     fraction_triangulate,
 )
@@ -107,6 +109,19 @@ def test_triangulation_returns_the_given_points():
     assert polytope_volume(square, 2) == F(1, 2)
 
 
+_gens = st.integers(1, 3).flatmap(lambda n: st.tuples(st.just(n), st.lists(
+    st.tuples(*[st.one_of(st.integers(0, 6), st.builds(F, st.integers(0, 6), st.sampled_from((2, 3, 4))))] * n),
+    min_size=1, max_size=6)))
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(_gens)
+def test_pl_cones_match_the_fraction_cut(case):
+    n, gens = case
+    gens = [tuple(F(x) for x in J) for J in gens]
+    assert demailly._pl_cones(gens, n) == fraction_pl_cones(gens, n)
+
+
 # ---------------------------------------------------------------------------
 # Fractions are built only for results
 
@@ -136,6 +151,22 @@ def test_diagram_builds_fractions_only_for_its_vertices(monkeypatch, points):
     monkeypatch.setattr(exactgeom, "Fraction", fake)
     monkeypatch.setattr(poly_geom, "Fraction", fake)
     vertices, _ = poly_geom._diagram(points, len(points[0]))
+    assert sorted(built) == sorted(x for t0, _ in vertices for x in t0)
+
+
+@pytest.mark.parametrize("u, n", [
+    (MaxOf.of(Scale(F(3, 2), CoordLog(1)), CoordLog(2)), 2),
+    (MaxOf.of(Scale(F(2), CoordLog(1)), Scale(F(3), CoordLog(2)), PolyLog.of([(1, (1, 1))])), 2),
+    (MaxOf.of(Scale(F(4), CoordLog(1)), Scale(F(5), CoordLog(2)), Scale(F(3), CoordLog(3)),
+              PolyLog.of([(1, (1, 1, 1))]), Scale(F(1, 2), PolyLog.of([(1, (2, 1, 0))]))), 3),
+])
+def test_pl_cones_build_fractions_only_for_the_diagram_vertices(monkeypatch, u, n):
+    gens = list(indicator_support(u, n).points)
+    vertices, _ = poly_geom._diagram(sorted(set(gens)), n)
+    fake, built = _counting_fraction()
+    for module in (exactgeom, poly_geom, demailly):
+        monkeypatch.setattr(module, "Fraction", fake)
+    assert demailly._pl_cones(gens, n)
     assert sorted(built) == sorted(x for t0, _ in vertices for x in t0)
 
 

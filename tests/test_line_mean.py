@@ -75,8 +75,8 @@ def test_binomial_exactly_tied_keeps_the_grid_and_its_clip_counts():
     assert np.isnan(_line_mean(tie, t, CLIP_FLOOR))
     clipping = Scale(F(500000), tie)
     assert np.isnan(_closed_mean(clipping, t, CLIP_FLOOR))
-    stats = numeric_oracle._torus_stats(clipping, t, 64)
-    grid = numeric_oracle._grid_mean(clipping, t, numeric_oracle._theta_grids(2, 64), (64, 64), CLIP_FLOOR)
+    stats = grid_oracles.row_stats(clipping, t, 64)
+    grid = grid_oracles.torus_grid(clipping, t, 64)
     assert stats == grid
     assert 0 < stats[1] < stats[2]
 
@@ -120,8 +120,8 @@ def test_a_line_above_the_degree_limit_keeps_the_grid(monkeypatch):
     assert np.isnan(_dominant_mean(w, t, CLIP_FLOOR))
     assert numeric_oracle._rank_one(w.terms) is None
     assert np.isnan(_closed_mean(w, t, CLIP_FLOOR))
-    grid = numeric_oracle._grid_mean(w, t, numeric_oracle._theta_grids(1, 64), (64,), CLIP_FLOOR)
-    assert numeric_oracle._torus_stats(w, t, 64) == grid
+    grid = grid_oracles.torus_grid(w, t, 64)
+    assert grid_oracles.row_stats(w, t, 64) == grid
 
 
 def test_degree_limit_is_inclusive(monkeypatch):
@@ -158,12 +158,12 @@ def test_the_floor_inside_the_values_keeps_the_grid():
     assert mean == pytest.approx(grid_oracles.line_mean_ref(w, (-1.0,), 2**16), abs=1e-12)
     scaled = Scale(CLIP_FLOOR / mean, w)
     assert np.isnan(_closed_mean(scaled, (-1.0,), CLIP_FLOOR))
-    _, clipped, total = numeric_oracle._torus_stats(scaled, (-1.0,), 256)
+    _, clipped, total = grid_oracles.row_stats(scaled, (-1.0,), 256)
     assert 0 < clipped < total
     # far below the floor every node clips, and the closed form says so
     deep = Scale(F(10**7), w)
     assert float(_closed_mean(deep, (-1.0,), CLIP_FLOOR)) < CLIP_FLOOR
-    assert numeric_oracle._torus_stats(deep, (-1.0,), 64) == (CLIP_FLOOR, 64, 64)
+    assert grid_oracles.row_stats(deep, (-1.0,), 64) == (CLIP_FLOOR, 64, 64)
 
 
 def test_means_are_bit_identical_after_the_cache_is_cleared():

@@ -222,6 +222,22 @@ def test_sublevel_matches_dense_grid_probe():
         assert enum == _probe_vertices(S), f"S={sorted(pts)}"
 
 
+def test_sublevel_vertices_lie_on_the_level_set():
+    # the exact check that `sublevel_vertices` makes on the active rows
+    # of its pass: max_J <J, t0> = -1 at every vertex, in dimensions 1..4
+    rng = random.Random(17)
+    for _ in range(40):
+        n = rng.randint(1, 4)
+        pts = {tuple(F(rng.randint(0, 5), rng.choice((1, 1, 2, 3))) for _ in range(n)) for _ in range(6)}
+        pts |= {tuple(F(rng.randint(1, 6)) if i == k else F(0) for i in range(n)) for k in range(n)}
+        S = ExponentSet.of(pts - {(F(0),) * n})
+        vertices = sublevel_vertices(S).extreme_points
+        assert vertices
+        for t0 in vertices:
+            assert all(x <= 0 for x in t0)
+            assert S.support_value(t0) == -1
+
+
 # ---------------------------------------------------------------------------
 # dual faces and cone volumes
 
