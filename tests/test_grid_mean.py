@@ -125,6 +125,17 @@ def sphere_grid(w, r: float, nodes: int, n: int, radial: int):
         profiles[0].shape[:-n] + (nodes,) * n)
 
 
+# W2 along (3/2, 1): the two shallow levels keep the grid, the two deep
+# ones take the dominant vertex
+MIXED_LEVELS = (-1.0, -2.0, -4.0, -8.0)
+
+
+def directional_rows(w, a, levels, nodes: int = 64):
+    """(mean, clipped) of each level of a directional sweep, as one batch of rows."""
+    means, clipped, _ = numeric_oracle._rows(w, [np.multiply(levels, x) for x in a], nodes)
+    return list(zip(means, clipped))
+
+
 # name -> (means under the current chunk budget, grid shape)
 CHUNK_CASES = {
     "torus 2-D": (lambda: [torus_grid(W2, (-1.0, -2.0), 64)[0]], (64, 64)),
@@ -134,8 +145,13 @@ CHUNK_CASES = {
     "sphere tree": (lambda: [sphere_mean(TREE, -30.0, 64, 2)], (64, 64, 64)),
     "sphere moduli only": (lambda: [sphere_mean(Scale(F(3), CoordLog(2)), -3.0, 64, 2)], (64, 1, 1)),
     "sphere 3-D": (lambda: [sphere_mean(W3, -2.0, 16, 3, radial_nodes=4)], (4, 4, 16, 16, 16)),
+    # every level of a slice is a row of one grid
     "slice": (lambda: [lv["mean"] for lv in slice_lelong(SLICE_W, 1, SCHED).diagnostics["levels"]],
               (64,)),
+    "directional mixed levels": (lambda: [m for m, _ in directional_rows(W2, (1.5, 1.0), MIXED_LEVELS)],
+                                 (2, 64, 64)),
+    "swept mixed levels": (lambda: [s[0] for s in numeric_oracle._swept_levels(
+        SWEPT_GM, SWEPT_W, SWEPT_LEVELS, 64)], (3, 64, 64)),
 }
 
 
@@ -192,11 +208,14 @@ SWEPT_W = PolyLog.of([(1, (2, 0)), (4, (1, 1)), (3, (0, 2))])
 SWEPT_GM = gamma_measure(ExponentSet.of([(0, 6), (1, 3), (3, 1), (6, 0)]))
 
 
-def swept_row_kinds():
-    """'dominant', 'line' or 'grid' for each atom of SWEPT_GM at r = -3/2."""
+SWEPT_LEVELS = (-1.5, -3.0, -6.0)
+
+
+def swept_row_kinds(r: float = -1.5):
+    """'dominant', 'line' or 'grid' for each atom of SWEPT_GM at level r."""
     kinds = []
     for t0, _ in SWEPT_GM.atoms:
-        t = numeric_oracle._atom_radii(t0, -1.5)
+        t = numeric_oracle._atom_radii(t0, r)
         if not np.isnan(numeric_oracle._dominant_mean(SWEPT_W, t, CLIP_FLOOR)):
             kinds.append("dominant")
         else:
@@ -216,10 +235,15 @@ WORKER_CASES = {
     "sphere mixed rows": (lambda: numeric_oracle._sphere_levels(W2, (-3.0,), 64, 2, 16), 2 * 64**2),
     "sphere 3-D": (lambda: numeric_oracle._sphere_levels(W3, (-2.0,), 16, 3, 4), 4**2 * 16**3),
     "sphere clipped": (lambda: numeric_oracle._sphere_levels(CLIPPING, (-1.0,), 64, 2, 16), 16 * 64**2),
+    # the three levels of a slice are rows of one grid
     "slice": (lambda: [(lv["mean"], lv["clipped"], lv["nodes"])
-                       for lv in slice_lelong(SLICE_W, 1, SCHED).diagnostics["levels"]], 64),
+                       for lv in slice_lelong(SLICE_W, 1, SCHED).diagnostics["levels"]], 3 * 64),
     # one atom of each kind: dominance, rank-one and grid rows
     "swept mixed rows": (lambda: numeric_oracle._swept_levels(SWEPT_GM, SWEPT_W, (-1.5,), 64), 64**2),
+    # batched sweeps: levels or atoms of each kind share one grid
+    "directional mixed levels": (lambda: directional_rows(W2, (1.5, 1.0), MIXED_LEVELS), 2 * 64**2),
+    "swept mixed levels": (lambda: numeric_oracle._swept_levels(SWEPT_GM, SWEPT_W, SWEPT_LEVELS, 64),
+                           3 * 64**2),
 }
 
 
@@ -265,6 +289,14 @@ def test_stats_do_not_depend_on_workers(monkeypatch, name):
         assert grid_oracles.sphere_grid_rows(W2, -3.0, 2, 16) == 2
     if name == "swept mixed rows":
         assert sorted(swept_row_kinds()) == ["dominant", "grid", "line"]
+    if name == "swept mixed levels":
+        kinds = [swept_row_kinds(r) for r in SWEPT_LEVELS]
+        assert all(k.count("grid") == 1 for k in kinds)
+        assert {"dominant", "line"} <= set(sum(kinds, []))
+    if name == "directional mixed levels":
+        t = [(1.5 * r, r) for r in MIXED_LEVELS]
+        assert [bool(np.isnan(numeric_oracle._closed_mean(W2, x, CLIP_FLOOR))) for x in t] == [
+            True, True, False, False]
 
 
 class CachedWeight:
