@@ -178,16 +178,13 @@ class ProfileEntry:
     error: str | None = None
 
 
-def _theta_grids(n: int, nodes: int, ndim: int | None = None) -> list[np.ndarray]:
-    """Angle arrays of the n-torus grid, angle k along dimension ndim - n + k."""
-    ndim = n if ndim is None else ndim
+def _theta_grids(n: int, nodes: int) -> list[np.ndarray]:
+    """Angle arrays of the n-torus grid after a leading row axis, angle k along dimension k + 1."""
     grids = []
     for k in range(n):
         offset = ((k + 1) * _GOLDEN) % 1.0
         g = 2.0 * math.pi * (np.arange(nodes) + offset) / nodes
-        shape = [1] * ndim
-        shape[ndim - n + k] = nodes
-        grids.append(g.reshape(shape))
+        grids.append(g.reshape([nodes if i == k + 1 else 1 for i in range(n + 1)]))
     return grids
 
 
@@ -512,14 +509,15 @@ def _rows(w, t, nodes: int, angles: Sequence[int] | None = None):
     """
     n = len(t)
     angles = range(n) if angles is None else angles
+    full = len(angles) == n
     t = [np.asarray(x, dtype=float) for x in t]
     size = nodes ** len(angles)
-    if len(angles) == n and not depends_on_theta(w):
+    if full and not depends_on_theta(w):
         means = np.broadcast_to(torus_values(w, t, (0.0,) * n), t[0].shape)
         grid = np.zeros(t[0].shape, dtype=bool)
     else:
         _check_grid(size)
-        means = _closed_mean(w, t, CLIP_FLOOR) if len(angles) == n else None
+        means = _closed_mean(w, t, CLIP_FLOOR) if full else None
         means = np.full(t[0].shape, np.nan) if means is None else means
         grid = np.isnan(means)
     clipped = [size if low else 0 for low in (means < CLIP_FLOOR).tolist()]
@@ -528,7 +526,7 @@ def _rows(w, t, nodes: int, angles: Sequence[int] | None = None):
     rows = np.flatnonzero(grid)
     if rows.size:
         theta = [0.0] * n
-        for k, g in zip(angles, _theta_grids(len(angles), nodes, len(angles) + 1)):
+        for k, g in zip(angles, _theta_grids(len(angles), nodes)):
             theta[k] = g
         lead = (rows.size,) + (1,) * len(angles)
         grid_parts, grid_clipped = _grid_rows(w, [x[rows].reshape(lead) for x in t], theta,

@@ -238,7 +238,8 @@ def torus_stats(w, t, nodes: int):
         numeric_oracle._check_grid(total)
         val = numeric_oracle._closed_mean(w, t, CLIP_FLOOR)
         if val is None or np.isnan(val):
-            return grid_mean(w, t, lambda: numeric_oracle._theta_grids(n, nodes), (nodes,) * n, CLIP_FLOOR)
+            return grid_mean(w, t, lambda: [g[0] for g in numeric_oracle._theta_grids(n, nodes)], (nodes,) * n,
+                             CLIP_FLOOR)
     if val < CLIP_FLOOR:
         return CLIP_FLOOR, total, total
     return float(val), 0, total
@@ -259,7 +260,7 @@ def sphere_stats(w, r: float, nodes: int, dim: int, radial_nodes: int | None = N
     means = numeric_oracle._closed_mean(w, t, CLIP_FLOOR)
     means = np.full(rows, np.nan) if means is None else means.reshape(rows)
     grid = np.isnan(means)
-    return grid_mean(w, tuple(x[grid] for x in t), lambda: numeric_oracle._theta_grids(n, nodes, n + 1),
+    return grid_mean(w, tuple(x[grid] for x in t), lambda: numeric_oracle._theta_grids(n, nodes),
                      (int(grid.sum()),) + (nodes,) * n, CLIP_FLOOR, known=(means[~grid], nodes**n))
 
 
@@ -284,7 +285,7 @@ def slice_stats(w, axis: int, r: float, nodes: int):
 
     def theta():
         angles = [0.0, 0.0]
-        angles[other] = numeric_oracle._theta_grids(1, nodes)[0]
+        angles[other] = numeric_oracle._theta_grids(1, nodes)[0][0]
         return angles
 
     t = [0.0, 0.0]
@@ -313,4 +314,4 @@ def grid_stats(w, t, theta, shape, floor: float = CLIP_FLOOR):
 def torus_grid(w, t, nodes: int):
     """(mean, clipped, total) of the library's grid over the whole torus, with no closed form."""
     n = len(t)
-    return grid_stats(w, t, numeric_oracle._theta_grids(n, nodes, n + 1), (1,) + (nodes,) * n)
+    return grid_stats(w, t, numeric_oracle._theta_grids(n, nodes), (1,) + (nodes,) * n)

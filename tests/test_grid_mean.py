@@ -121,7 +121,7 @@ def sphere_grid(w, r: float, nodes: int, n: int, radial: int):
     """(mean, clipped, total) of the whole sphere grid, with no closed form."""
     profiles = grid_oracles.sphere_profiles(n, radial)
     return grid_oracles.grid_stats(
-        w, tuple(r + p for p in profiles), numeric_oracle._theta_grids(n, nodes, profiles[0].ndim),
+        w, tuple(r + p for p in profiles), numeric_oracle._theta_grids(n, nodes),
         profiles[0].shape[:-n] + (nodes,) * n)
 
 
@@ -177,7 +177,7 @@ def test_chunked_mean_is_fsum_of_the_whole_grid(monkeypatch):
     w = PolyLog.of([(c * shift, J) for c, J in W3.terms])
     monkeypatch.setattr(numeric_oracle, "_CHUNK_POINTS", 1000)
     theta = numeric_oracle._theta_grids(3, 64)
-    vals = np.maximum(np.broadcast_to(torus_values(w, t, theta), (64,) * 3), CLIP_FLOOR)
+    vals = np.maximum(np.broadcast_to(torus_values(w, t, theta), (1,) + (64,) * 3), CLIP_FLOOR)
     mean, clipped, total = torus_grid(w, t, 64)
     assert abs(mean) < 1e-9
     assert (clipped, total) == (0, 64**3)
@@ -235,9 +235,9 @@ WORKER_CASES = {
     "sphere mixed rows": (lambda: numeric_oracle._sphere_levels(W2, (-3.0,), 64, 2, 16), 2 * 64**2),
     "sphere 3-D": (lambda: numeric_oracle._sphere_levels(W3, (-2.0,), 16, 3, 4), 4**2 * 16**3),
     "sphere clipped": (lambda: numeric_oracle._sphere_levels(CLIPPING, (-1.0,), 64, 2, 16), 16 * 64**2),
-    # the three levels of a slice are rows of one grid
+    # the three levels of a slice are rows of one grid, each cut into chunks
     "slice": (lambda: [(lv["mean"], lv["clipped"], lv["nodes"])
-                       for lv in slice_lelong(SLICE_W, 1, SCHED).diagnostics["levels"]], 3 * 64),
+                       for lv in slice_lelong(SLICE_W, 1, SCHED).diagnostics["levels"]], 64),
     # one atom of each kind: dominance, rank-one and grid rows
     "swept mixed rows": (lambda: numeric_oracle._swept_levels(SWEPT_GM, SWEPT_W, (-1.5,), 64), 64**2),
     # batched sweeps: levels or atoms of each kind share one grid
