@@ -101,9 +101,9 @@ _CIRCLE_MARGIN = 1e-6
 # Points evaluated at once: 2^18, 4 MiB per complex128 array.
 _CHUNK_POINTS = 2**18
 
-# Grid rows in one chunk: each has 4096 buckets, so a bucket array of
-# 64 rows takes 2 MiB.
-_BUCKET_ROWS = 64
+# Rows taken at once: a closed-form pass holds arrays of rows x terms
+# values, and a grid chunk bucket arrays of rows x 4096 (2 MiB at 64).
+_BLOCK_ROWS = 64
 
 # Per-axis grid offsets in units of the node spacing.  Golden-ratio
 # multiples guarantee that no integer combination of angles ever lands
@@ -281,7 +281,7 @@ def _grid_rows(w, t, theta, shape, floor: float):
     of the sum of row i's clipped values, clipped[i] counts its values
     below floor.  Evaluates the grid in chunks on min(CPUs, ceil(points /
     _CHUNK_POINTS)) threads, each chunk of at most _CHUNK_POINTS //
-    threads points and _BUCKET_ROWS rows, so at most _CHUNK_POINTS points
+    threads points and _BLOCK_ROWS rows, so at most _CHUNK_POINTS points
     are in flight; one thread runs inline.  fsum of a row's parts equals
     that of its values whatever the chunking, the thread count or the
     order in which chunks finish.  An exception in a chunk cancels the
@@ -302,7 +302,7 @@ def _grid_rows(w, t, theta, shape, floor: float):
         vals = np.maximum(vals, floor, out=out).reshape(sub[0], -1)
         return box[0].start, clipped, _exact_parts(vals)
 
-    boxes = _chunks(shape, max(1, min(_CHUNK_POINTS // workers, _BUCKET_ROWS * row_points)))
+    boxes = _chunks(shape, max(1, min(_CHUNK_POINTS // workers, _BLOCK_ROWS * row_points)))
     if workers == 1:
         results = [chunk(box) for box in boxes]
     else:
@@ -499,27 +499,29 @@ def _rows(w, t, nodes: int, angles: Sequence[int] | None = None):
 
     t holds one array of R log-radii per axis; angles are the axes with
     node angles (all by default, one for a slice), so a row has size =
-    nodes**len(angles) nodes.  Over all axes, one decision takes the
-    closed rows: a theta-independent weight at one node per row in one
-    `torus_values` call, else one `_closed_mean` pass.  A closed mean is
-    clipped at CLIP_FLOOR (all nodes or none) and its parts are None.
-    The other rows share one `_grid_rows` grid; each mean is the fsum of
-    the row's parts over size.  The cap applies to size wherever a grid
-    may be built.
+    nodes**len(angles) nodes.  Over all axes, one decision per
+    _BLOCK_ROWS rows takes the closed rows: one `torus_values` call at
+    one node per row for a theta-independent weight, else one
+    `_closed_mean` pass.  A closed mean is clipped at CLIP_FLOOR (all
+    nodes or none) and its parts are None.  The other rows share one
+    `_grid_rows` grid; each mean is the fsum of the row's parts over
+    size.  The cap applies to size wherever a grid may be built.
     """
     n = len(t)
     angles = range(n) if angles is None else angles
     full = len(angles) == n
     t = [np.asarray(x, dtype=float) for x in t]
     size = nodes ** len(angles)
-    if full and not depends_on_theta(w):
-        means = np.broadcast_to(torus_values(w, t, (0.0,) * n), t[0].shape)
-        grid = np.zeros(t[0].shape, dtype=bool)
-    else:
+    constant = full and not depends_on_theta(w)
+    if not constant:
         _check_grid(size)
-        means = _closed_mean(w, t, CLIP_FLOOR) if full else None
-        means = np.full(t[0].shape, np.nan) if means is None else means
-        grid = np.isnan(means)
+    means = np.full(t[0].shape, np.nan)
+    for i in range(0, means.size if full else 0, _BLOCK_ROWS):
+        block = [x[i:i + _BLOCK_ROWS] for x in t]
+        closed = torus_values(w, block, (0.0,) * n) if constant else _closed_mean(w, block, CLIP_FLOOR)
+        if closed is not None:
+            means[i:i + _BLOCK_ROWS] = closed
+    grid = np.zeros(means.shape, dtype=bool) if constant else np.isnan(means)
     clipped = [size if low else 0 for low in (means < CLIP_FLOOR).tolist()]
     means = np.maximum(means, CLIP_FLOOR)
     parts = [None] * means.size

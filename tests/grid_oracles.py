@@ -238,8 +238,8 @@ def torus_stats(w, t, nodes: int):
         numeric_oracle._check_grid(total)
         val = numeric_oracle._closed_mean(w, t, CLIP_FLOOR)
         if val is None or np.isnan(val):
-            return grid_mean(w, t, lambda: [g[0] for g in numeric_oracle._theta_grids(n, nodes)], (nodes,) * n,
-                             CLIP_FLOOR)
+            theta = [g[0] for g in numeric_oracle._theta_grids(n, nodes)]
+            return grid_mean(w, t, theta, (nodes,) * n, CLIP_FLOOR)
     if val < CLIP_FLOOR:
         return CLIP_FLOOR, total, total
     return float(val), 0, total

@@ -109,9 +109,9 @@ def test_triangulation_returns_the_given_points():
     assert polytope_volume(square, 2) == F(1, 2)
 
 
-_gens = st.integers(1, 3).flatmap(lambda n: st.tuples(st.just(n), st.lists(
-    st.tuples(*[st.one_of(st.integers(0, 6), st.builds(F, st.integers(0, 6), st.sampled_from((2, 3, 4))))] * n),
-    min_size=1, max_size=6)))
+_exponent = st.one_of(st.integers(0, 6), st.builds(F, st.integers(0, 6), st.sampled_from((2, 3, 4))))
+_gens = st.integers(1, 3).flatmap(lambda n: st.tuples(
+    st.just(n), st.lists(st.tuples(*[_exponent] * n), min_size=1, max_size=6)))
 
 
 @settings(max_examples=120, deadline=None, derandomize=True)

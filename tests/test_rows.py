@@ -197,3 +197,25 @@ def test_one_closed_pass_and_one_grid_per_sweep(monkeypatch):
     classical_lelong_numeric(W2, RadialSchedule(levels=(-0.5, -1.0, -2.0, -4.0), angular_nodes=64), dim=2,
                              radial_nodes=8)
     assert calls == ["_closed_mean", "_grid_rows", "_closed_mean", "_grid_rows"]
+
+
+def test_long_batches_take_the_closed_forms_in_blocks(monkeypatch):
+    # 150 rows: three closed-form passes of at most _BLOCK_ROWS rows, and
+    # still the bits of the one-level path on every row
+    rng = random.Random(5)
+    w = random_polylog(rng, 2, 6, 5)
+    t = [np.array([-rng.uniform(0.1, 6.0) for _ in range(150)]) for _ in range(2)]
+    passes = []
+    real = numeric_oracle._closed_mean
+
+    def counted(w, t, floor):
+        passes.append(t[0].size)
+        return real(w, t, floor)
+
+    monkeypatch.setattr(numeric_oracle, "_closed_mean", counted)
+    means, clipped, _ = numeric_oracle._rows(w, t, 64)
+    monkeypatch.undo()
+    assert passes == [64, 64, 22]
+    assert {"dominant", "grid"} <= set(kinds(w, t))
+    for row, got in zip(zip(*t), zip(means, clipped, [64**2] * 150)):
+        assert same(got, grid_oracles.torus_stats(w, row, 64))
