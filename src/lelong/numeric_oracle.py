@@ -4,12 +4,12 @@ Estimates the defining limits of classical, directional and generalized
 Lelong densities by torus and sphere means over a schedule of shrinking
 radii, applies the atomic boundary measure to arbitrary evaluable
 weights, and measures the one-variable mass of a weight restricted to a
-coordinate hyperplane.  Every mean is taken by one row routine,
-`_rows`: a row is one torus, given by its log-radii, and each probe
-passes all rows of its schedule at once (directional: one per level;
-swept: levels x atoms; classical: levels x radial nodes; slice: one per
-level, with one angle axis).  The rows take closed forms in one pass
-where they hold, and the others share one chunked grid, `_grid_rows`.
+coordinate hyperplane.  Every mean is taken by one row routine, `_rows`:
+a row is one torus, given by its log-radii, and each probe passes all
+rows of its schedule at once (directional: one per level; swept: levels
+x atoms; classical: levels x radial nodes; slice: one per level, with
+one angle axis).  The rows take closed forms where they hold, in one pass
+per 64 rows, and the others share one chunked grid, `_grid_rows`.
 MAX_GRID_POINTS bounds the nominal grid of each mean, not the batch.
 
 A torus mean of a bare or scaled `PolyLog` needs no grid where one of
