@@ -587,8 +587,7 @@ def _sphere_levels(w, levels, nodes: int, n: int, radial_nodes: int | None = Non
     if radial_nodes is None:
         radial_nodes = 64 if n == 2 else 16
     profiles = _equal_area_log_profiles(n, radial_nodes)
-    if not depends_on_theta(w):
-        nodes = 1
+    nodes = nodes if depends_on_theta(w) else 1
     rows, size = profiles[0].size, nodes**n
     _check_grid(rows * size)
     means, clipped, parts = _rows(w, [np.add.outer(np.asarray(levels, dtype=float), p).ravel()
@@ -699,14 +698,15 @@ def classical_lelong_numeric(w, sched: RadialSchedule = DEFAULT_SCHEDULE, dim: i
     return LimitEstimate(est.value, est.stderr, est.levels_used, merged)
 
 
-def _atom_radii(t0, r: float) -> tuple[float, ...]:
+def _atom_radii(t0) -> tuple[float, ...]:
+    """The log-radii of the torus of atom t0 at level r = -1; a level r scales them by |r|."""
     if any(x == 0 for x in t0):
         raise ValueError(
             f"atom {tuple(map(str, t0))} touches a coordinate wall: the weight's "
             "pole set is larger than the origin, so its boundary measure cannot "
             "be probed radially (add a pure generator on every axis)"
         )
-    return tuple(abs(r) * float(x) for x in t0)
+    return tuple(float(x) for x in t0)
 
 
 def _swept_levels(gm, w, levels, nodes: int):
@@ -716,7 +716,7 @@ def _swept_levels(gm, w, levels, nodes: int):
     levels and atoms in one `_rows` call.  Every atom is checked against
     the coordinate walls, and then nodes, before any mean is taken.
     """
-    t0s = [_atom_radii(t0, -1.0) for t0, _ in gm.atoms]
+    t0s = [_atom_radii(t0) for t0, _ in gm.atoms]
     if nodes < 64:
         raise ValueError("nodes must be at least 64")
     if not t0s:  # without atoms the sum is 0 in any dimension

@@ -265,7 +265,7 @@ def sphere_stats(w, r: float, nodes: int, dim: int, radial_nodes: int | None = N
 
 
 def swept_stats(gm, w, r: float, nodes: int):
-    radii = [numeric_oracle._atom_radii(t0, r) for t0, _ in gm.atoms]
+    radii = [tuple(abs(r) * x for x in numeric_oracle._atom_radii(t0)) for t0, _ in gm.atoms]
     if nodes < 64:
         raise ValueError("nodes must be at least 64")
     total = 0.0

@@ -215,7 +215,7 @@ def swept_row_kinds(r: float = -1.5):
     """'dominant', 'line' or 'grid' for each atom of SWEPT_GM at level r."""
     kinds = []
     for t0, _ in SWEPT_GM.atoms:
-        t = numeric_oracle._atom_radii(t0, r)
+        t = tuple(abs(r) * x for x in numeric_oracle._atom_radii(t0))
         if not np.isnan(numeric_oracle._dominant_mean(SWEPT_W, t, CLIP_FLOOR)):
             kinds.append("dominant")
         else:
