@@ -42,8 +42,8 @@ from .exactgeom import Vec, _bareiss, _fan, dot
 from .indicator_calculus import _check_dimensions, _density, _tau
 from .numeric_oracle import DEFAULT_SCHEDULE, RadialSchedule, _swept_estimate
 from .poly_geom import ExponentSet, _diagram, _measure
-from .weights import CoordLog, MaxOf, PolyLog, Scale, _log_rows, _peak_shift, _point_sums
-from .weights import dimension_of, eval_expr, indicator_support, is_multicircled, torus_values
+from .weights import _generators, _log_rows, _peak_shift, _point_sums, dimension_of
+from .weights import eval_expr, indicator_support, is_multicircled, torus_values
 
 __all__ = [
     "ApproxBasis",
@@ -70,7 +70,6 @@ class ApproxBasis:
     m: int
     degree_cap: int
     entries: tuple[tuple[tuple[int, ...], float], ...]
-    u_ref: object
     dimension: int
     exponents: np.ndarray = field(init=False, repr=False, compare=False)
     neg_log_c: np.ndarray = field(init=False, repr=False, compare=False)
@@ -152,28 +151,16 @@ def _bases(u, m_list: Sequence[int], degree_cap: int | None, n: int):
             entries = _quadrature_norms(u, m, cap, n)
         else:
             entries = [(a, (2.0 * math.pi) ** n * (num / den)) for a, num, den in _exact_norms(cones, m, cap, n)]
-        yield m, ApproxBasis(m=m, degree_cap=cap, entries=tuple(entries), u_ref=u, dimension=n)
+        yield m, ApproxBasis(m=m, degree_cap=cap, entries=tuple(entries), dimension=n)
 
 
 def _pl_generators(u, n: int) -> list[Vec] | None:
     """The J with u = max_J <J, log|z|>, or None when u has no such form."""
-    if isinstance(u, CoordLog):
-        return [tuple(Fraction(int(k == u.axis - 1)) for k in range(n))]
-    if isinstance(u, Scale):
-        child = _pl_generators(u.child, n)
-        return None if child is None else [tuple(Fraction(u.factor) * x for x in J) for J in child]
-    if isinstance(u, MaxOf):
-        out: list[Vec] = []
-        for c in u.children:
-            gens = _pl_generators(c, n)
-            if gens is None:
-                return None
-            out.extend(gens)
-        return out
-    if isinstance(u, PolyLog) and len(u.terms) == 1 and abs(u.terms[0][0]) == 1:
-        J = u.terms[0][1]
-        return [tuple(Fraction(j) for j in J) + (Fraction(0),) * (n - len(J))]
-    return None
+    try:
+        gens, exact = _generators(u, n)
+    except (TypeError, ValueError):
+        return None
+    return gens if exact else None
 
 
 def _pl_degree_cap(gens: list[Vec], m: int, n: int) -> int:

@@ -5,7 +5,7 @@ cleared of denominators once, at the boundary; the kernels then run on
 ints, and a Fraction is built only for a result (a determinant, a volume).
 Results are exact and independent of evaluation order.  Two kernels:
 
-  * `eliminate`, fraction-free (Bareiss) Gauss-Jordan elimination, which
+  * `_bareiss`, fraction-free (Bareiss) Gauss-Jordan elimination, which
     gives ranks, pivot columns, determinants and inverses;
   * `double_description`, the incremental double-description method of
     Motzkin, Raiffa, Thompson and Thrall (1953), in the form of Fukuda
@@ -25,7 +25,6 @@ from itertools import islice
 from typing import Iterable, Sequence
 
 Vec = tuple[Fraction, ...]
-Constraint = tuple[Vec, Fraction]  # (a, b) encodes <a, x> <= b
 
 MAX_DD_WORK = 2**21  # ray steps of one double-description pass
 
@@ -71,22 +70,15 @@ def _integer_points(points: Sequence[Sequence]) -> tuple[list[tuple[int, ...]], 
     return [tuple(x * (scale // s) for x in row) for row, s in rows], scale
 
 
-def eliminate(rows: Sequence[Sequence]) -> tuple[list[list[int]], list[int], Fraction]:
-    """Fraction-free Gauss-Jordan (Bareiss) elimination of a rational matrix.
-
-    Each row is first cleared of denominators.  Returns (m, pivots, det):
-    in the integer matrix m, row k (k < len(pivots)) holds the common pivot
-    value at column pivots[k] and zeros in every other pivot column; the
-    rows after them are zero.  len(pivots) is the rank, and det is the
-    determinant of a square input (0 when singular).
-    """
-    scaled = [_integer_row(r) for r in rows]
-    m, pivots, det = _bareiss([row for row, _ in scaled], full=True)
-    return m, pivots, Fraction(det, math.prod(s for _, s in scaled))
-
-
 def _bareiss(m: list, full: bool = False) -> tuple[list[list[int]], list[int], int]:
-    """`eliminate` on int rows with an int det; without `full`, only rows below a pivot are reduced."""
+    """Fraction-free Gauss-Jordan (Bareiss) elimination of integer rows, in place.
+
+    Returns (m, pivots, det): row k of m (k < len(pivots)) holds the common
+    pivot value at column pivots[k], and zeros in every other pivot column
+    with `full` (else only below it); the rows after them are zero.
+    len(pivots) is the rank, and det is the determinant of a square input
+    (0 when singular).
+    """
     prev, sign, pivots = 1, 1, []
     for col in range(len(m[0]) if m else 0):
         r = len(pivots)
@@ -180,18 +172,6 @@ def _affine_coordinates(points: Sequence[tuple[int, ...]]) -> tuple[list[tuple[i
     """
     cols = _bareiss([[x - y for x, y in zip(p, points[0])] for p in points[1:]])[1]
     return [tuple(p[c] for c in cols) for p in points], len(cols)
-
-
-def triangulate(points: Sequence[Sequence]) -> list[tuple[Sequence, ...]]:
-    """Triangulate conv(points) into simplices of its affine dimension.
-
-    Fans from the lexicographically smallest point at every recursion
-    level, so the decomposition is deterministic.  Scaling the points to
-    integers keeps their order; the simplices hold the given points.
-    """
-    ints, scale = _integer_points(points)
-    given = dict(zip(reversed(ints), reversed(points)))
-    return [tuple(given[p] for p in simplex) for simplex in _fan(ints, scale)]
 
 
 def _fan(points: list[tuple[int, ...]], scale: int) -> list[tuple[tuple[int, ...], ...]]:

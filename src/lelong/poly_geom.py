@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .exactgeom import Vec, _bareiss, dot, double_description, frac, polytope_volume, vec
+from .exactgeom import Vec, _bareiss, dot, double_description, polytope_volume, vec
 
 __all__ = [
     "DegenerateIndicatorError",
@@ -73,21 +73,10 @@ class ExponentSet:
                 raise ValueError("the zero vector is not a valid exponent")
         return cls(n, tuple(sorted(set(rows))))
 
-    def support_value(self, t: Sequence) -> Fraction:
-        """f(t) = max over generators of <J, t>."""
-        tv = vec(t)
-        return max(dot(p, tv) for p in self.points)
-
     def min_support(self, a: Sequence) -> Fraction:
         """min over generators of <J, a>; the directional density at a."""
         av = vec(a)
         return min(dot(p, av) for p in self.points)
-
-    def scaled(self, c) -> "ExponentSet":
-        cf = frac(c)
-        if cf <= 0:
-            raise ValueError("scale factor must be positive")
-        return ExponentSet.of([tuple(cf * x for x in p) for p in self.points])
 
 
 @dataclass(frozen=True)
@@ -215,4 +204,4 @@ def _measure(S: ExponentSet) -> tuple[tuple[Vec, ...], GammaMeasure]:
     _check_axes(S)
     vertices = _diagram(S.points, S.dimension)[0]
     atoms = tuple((t0, mass) for t0, face in vertices if (mass := cone_volume(face, S.dimension)) > 0)
-    return tuple(t0 for t0, _ in vertices), GammaMeasure(atoms, sum((m for _, m in atoms), Fraction(0)))
+    return tuple(t0 for t0, _ in vertices), GammaMeasure(atoms, Fraction(sum(m for _, m in atoms)))

@@ -25,7 +25,7 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .exactgeom import frac
+from .exactgeom import Vec, frac
 from .poly_geom import ExponentSet
 
 __all__ = [
@@ -313,34 +313,39 @@ def scaling_transform(w, m: int):
     return _scale(Fraction(1, m), _substitute_power(w, m))
 
 
+def _generators(w, n: int) -> tuple[list[Vec], bool]:
+    """The generators J of w's indicator, padded to n coordinates, and whether w = max_J <J, log|z|>.
+
+    That holds when every polynomial in w is one monomial with |c| = 1.  A scale
+    factor is read as Fraction(factor), so a float is its exact dyadic rational.
+    Raises ValueError on a sub-logarithmic node, TypeError outside the node algebra.
+    """
+    if isinstance(w, PolyLog):
+        gens = [tuple(Fraction(j) for j in J) + (Fraction(0),) * (n - len(J)) for _, J in w.terms]
+        return gens, len(w.terms) == 1 and abs(w.terms[0][0]) == 1
+    if isinstance(w, CoordLog):
+        return [tuple(Fraction(int(k == w.axis - 1)) for k in range(n))], True
+    if isinstance(w, MaxOf):
+        walks = [_generators(c, n) for c in w.children]
+        return [J for gens, _ in walks for J in gens], all(exact for _, exact in walks)
+    if isinstance(w, Scale):
+        gens, exact = _generators(w.child, n)
+        f = Fraction(w.factor)
+        return [tuple(f * x for x in J) for J in gens], exact
+    if isinstance(w, NegPowLog):
+        raise ValueError("sub-logarithmic node has no piecewise-linear indicator")
+    raise TypeError(f"not a weight expression: {type(w).__name__}")
+
+
 def indicator_support(w, dimension: int | None = None) -> ExponentSet:
     """Exponent set generating the piecewise-linear indicator of w.
 
-    Defined for the polynomial-log / coordinate-log / max / rational-scale
-    fragment; raises for weights whose indicator is not piecewise linear.
+    Defined for the polynomial-log / coordinate-log / max / scale
+    fragment, where float scale factors are exact dyadic rationals;
+    raises for weights whose indicator is not piecewise linear.
     """
     n = dimension if dimension is not None else dimension_of(w)
-
-    def gens(node):
-        if isinstance(node, PolyLog):
-            return [tuple(Fraction(j) for j in J) + (Fraction(0),) * (n - len(J)) for _, J in node.terms]
-        if isinstance(node, CoordLog):
-            return [tuple(Fraction(1 if i == node.axis - 1 else 0) for i in range(n))]
-        if isinstance(node, MaxOf):
-            out = []
-            for c in node.children:
-                out.extend(gens(c))
-            return out
-        if isinstance(node, Scale):
-            f = node.factor
-            if not isinstance(f, Fraction):
-                raise ValueError("indicator support needs a rational scale factor")
-            return [tuple(f * x for x in g) for g in gens(node.child)]
-        if isinstance(node, NegPowLog):
-            raise ValueError("sub-logarithmic node has no piecewise-linear indicator")
-        raise TypeError(f"not a weight expression: {type(node).__name__}")
-
-    return ExponentSet.of(gens(w), n)
+    return ExponentSet.of(_generators(w, n)[0], n)
 
 
 def is_multicircled(w) -> bool:

@@ -1,6 +1,7 @@
 """Reference computations for the exact polyhedral layer.
 
-Lasserre's recursion measures an H-polytope without enumerating a single
+The oracles run on the `Fraction` kernel at the end of this file, not on
+the integer kernel of `exactgeom` that they check.  Lasserre's recursion measures an H-polytope without enumerating a single
 vertex, so its complement volume checks the atom masses of
 `gamma_measure`, which come from vertices and triangulated cones.
 `enumerate_vertices` gives the vertices of an H-polytope, whose
@@ -20,7 +21,9 @@ ran before its array pass.  `fraction_eliminate`,
 ran on integers: every entry goes through `Fraction`, and every simplex
 volume is a `Fraction` of its own.  `fraction_pl_cones` is the cone fan
 of `demailly._pl_cones` cut at sum(s) = -1 in `Fraction` points, as it
-was before the cut was scaled to integers.
+was before the cut was scaled to integers.  `walk_pl_generators` and
+`walk_indicator_support` are the two walks from a weight tree to its
+generators that the library had before `weights._generators` served both.
 """
 
 import math
@@ -30,15 +33,17 @@ from itertools import combinations, product
 from typing import Sequence
 
 from lelong.demailly import basis_norms, um_eval
-from lelong.exactgeom import Constraint, Vec, double_description, eliminate, frac, vec
+from lelong.exactgeom import Vec, frac, vec
 from lelong.poly_geom import ExponentSet, _diagram, dominated_hull, sublevel_vertices
-from lelong.weights import dimension_of, eval_expr
+from lelong.weights import CoordLog, MaxOf, NegPowLog, PolyLog, Scale, dimension_of, eval_expr
+
+Constraint = tuple[Vec, Fraction]  # (a, b) encodes <a, x> <= b
 
 
 def solve(rows: Sequence[Sequence], rhs: Sequence) -> Vec | None:
     """Solve an n x n rational system by elimination; None if singular."""
     n = len(rows)
-    m, pivots, _ = eliminate([list(r) + [b] for r, b in zip(rows, rhs)])
+    m, pivots, _ = fraction_eliminate([list(r) + [b] for r, b in zip(rows, rhs)])
     if pivots[:n] != list(range(n)):
         return None
     return tuple(Fraction(m[k][n], m[k][k]) for k in range(n))
@@ -54,7 +59,7 @@ def enumerate_vertices(constraints: Sequence[Constraint], n: int) -> list[Vec]:
     """
     rows = [list(vec(a)) + [-frac(b)] for a, b in constraints]
     rows.append([0] * n + [-1])
-    rays = double_description(rows, n + 1)
+    rays = fraction_double_description(rows, n + 1)
     return sorted(tuple(Fraction(x, ray[n]) for x in ray[:n]) for ray, _ in rays if ray[n] > 0)
 
 
@@ -419,3 +424,58 @@ def fraction_pl_cones(gens: list[Vec], n: int) -> list[tuple[list[tuple[int, ...
             V = [by_cut[p] for p in simplex]
             cones.append((V, J, int(abs(fraction_eliminate(V)[2]))))
     return cones
+
+
+# ---------------------------------------------------------------------------
+# the two generator walks
+
+
+def walk_pl_generators(u, n: int) -> list[Vec] | None:
+    """The J with u = max_J <J, log|z|>, or None when u has no such form."""
+    if isinstance(u, CoordLog):
+        return [tuple(Fraction(int(k == u.axis - 1)) for k in range(n))]
+    if isinstance(u, Scale):
+        child = walk_pl_generators(u.child, n)
+        return None if child is None else [tuple(Fraction(u.factor) * x for x in J) for J in child]
+    if isinstance(u, MaxOf):
+        out: list[Vec] = []
+        for c in u.children:
+            gens = walk_pl_generators(c, n)
+            if gens is None:
+                return None
+            out.extend(gens)
+        return out
+    if isinstance(u, PolyLog) and len(u.terms) == 1 and abs(u.terms[0][0]) == 1:
+        J = u.terms[0][1]
+        return [tuple(Fraction(j) for j in J) + (Fraction(0),) * (n - len(J))]
+    return None
+
+
+def walk_indicator_support(w, dimension: int | None = None) -> ExponentSet:
+    """Exponent set generating the piecewise-linear indicator of w.
+
+    Defined for the polynomial-log / coordinate-log / max / rational-scale
+    fragment; raises for weights whose indicator is not piecewise linear.
+    """
+    n = dimension if dimension is not None else dimension_of(w)
+
+    def gens(node):
+        if isinstance(node, PolyLog):
+            return [tuple(Fraction(j) for j in J) + (Fraction(0),) * (n - len(J)) for _, J in node.terms]
+        if isinstance(node, CoordLog):
+            return [tuple(Fraction(1 if i == node.axis - 1 else 0) for i in range(n))]
+        if isinstance(node, MaxOf):
+            out = []
+            for c in node.children:
+                out.extend(gens(c))
+            return out
+        if isinstance(node, Scale):
+            f = node.factor
+            if not isinstance(f, Fraction):
+                raise ValueError("indicator support needs a rational scale factor")
+            return [tuple(f * x for x in g) for g in gens(node.child)]
+        if isinstance(node, NegPowLog):
+            raise ValueError("sub-logarithmic node has no piecewise-linear indicator")
+        raise TypeError(f"not a weight expression: {type(node).__name__}")
+
+    return ExponentSet.of(gens(w), n)

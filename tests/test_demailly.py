@@ -293,12 +293,12 @@ def test_array_evaluation_matches_entry_loop():
 
 
 def test_um_empty_basis_is_bottom():
-    B = ApproxBasis(m=1, degree_cap=0, entries=(), u_ref=None, dimension=1)
+    B = ApproxBasis(m=1, degree_cap=0, entries=(), dimension=1)
     assert um_eval(B, (0.5,)) == -math.inf
 
 
 def test_empty_basis_sums_to_nothing():
-    B = ApproxBasis(m=1, degree_cap=0, entries=(), u_ref=None, dimension=2)
+    B = ApproxBasis(m=1, degree_cap=0, entries=(), dimension=2)
     t = (np.array([-0.5, -math.inf]), np.array([[-1.0], [-math.inf]]))
     assert np.all(B.torus_values(t, (0.0, 0.0)) == -math.inf)
     assert B.torus_values((-1.0, -2.0), (0.0, 0.0)) == -math.inf

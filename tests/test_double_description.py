@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from lelong.exactgeom import dot, double_description, eliminate
+from lelong.exactgeom import _bareiss, dot, double_description
 from lelong.indicator_calculus import generalized_lelong_exact
 from lelong.poly_geom import (
     DegenerateIndicatorError,
@@ -20,7 +20,7 @@ from lelong.poly_geom import (
     sublevel_vertices,
 )
 
-from exact_oracles import solve
+from exact_oracles import fraction_eliminate, solve
 
 # ---------------------------------------------------------------------------
 # elimination
@@ -50,7 +50,10 @@ _entry = st.builds(F, st.integers(-4, 4), st.integers(1, 3))
 ))
 def test_elimination_determinant_and_solution(system):
     rows, rhs = system
-    det = eliminate(rows)[2]
+    ints = [[int(6 * x) for x in r] for r in rows]  # every denominator divides 6
+    m, pivots, det = _bareiss([list(r) for r in ints], full=True)
+    assert (m, pivots, F(det)) == fraction_eliminate(ints)
+    det = F(det, 6 ** len(rows))
     assert det == _leibniz(rows)
     x = solve(rows, rhs)
     if det == 0:
@@ -60,10 +63,13 @@ def test_elimination_determinant_and_solution(system):
 
 
 def test_elimination_rank_and_pivots():
-    _, pivots, det = eliminate([[F(1), F(2), F(3)], [F(2), F(4), F(6)], [F(0), F(0), F(1, 2)]])
+    rows = [[1, 2, 3], [2, 4, 6], [0, 0, 1]]
+    m, pivots, det = _bareiss([list(r) for r in rows], full=True)
     assert pivots == [0, 2]
     assert det == 0
-    assert eliminate([[F(1, 2), F(1, 3)], [F(1, 4), F(1, 5)]])[2] == F(1, 10) - F(1, 12)
+    assert (m, pivots, F(det)) == fraction_eliminate(rows)
+    # (1/2, 1/3) and (1/4, 1/5) times 6 and 20: det 120 (1/10 - 1/12)
+    assert _bareiss([[3, 2], [5, 4]], full=True)[2] == 2
 
 
 # ---------------------------------------------------------------------------
@@ -80,11 +86,11 @@ def test_double_description_of_the_cone_over_a_square():
 
 def _brute_rays(rows, d):
     """Extreme rays from every (d-1)-subset of rows with a one-dimensional kernel."""
-    if len(eliminate(rows)[1]) < d:
+    if len(fraction_eliminate(rows)[1]) < d:
         return []
     found = {}
     for subset in combinations(rows, d - 1):
-        m, pivots, _ = eliminate(subset)
+        m, pivots, _ = fraction_eliminate(subset)
         if len(pivots) < d - 1:
             continue
         free = next(j for j in range(d) if j not in pivots)

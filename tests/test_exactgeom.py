@@ -4,12 +4,17 @@ from fractions import Fraction as F
 import pytest
 
 from lelong.exactgeom import (
+    _fan,
     frac,
     polytope_volume,
-    triangulate,
-    vec,
 )
-from exact_oracles import enumerate_vertices, fraction_simplex_volume, hpolytope_volume, solve
+from exact_oracles import (
+    enumerate_vertices,
+    fraction_simplex_volume,
+    fraction_triangulate,
+    hpolytope_volume,
+    solve,
+)
 
 
 def test_solve_square_basic():
@@ -43,8 +48,9 @@ def test_enumerate_vertices_unit_square():
 
 
 def test_triangulate_square_covers_area():
-    square = [vec(p) for p in [(0, 0), (1, 0), (0, 1), (1, 1)]]
-    simplices = triangulate(square)
+    square = [(0, 0), (1, 0), (0, 1), (1, 1)]
+    simplices = _fan(square, 1)
+    assert simplices == fraction_triangulate(square)
     assert sum(fraction_simplex_volume(s, 2) for s in simplices) == F(1)
 
 
@@ -64,7 +70,8 @@ def test_polytope_volume_nonsimplicial():
     # unit cube in 3-D, eight vertices
     cube = [(i, j, k) for i in (0, 1) for j in (0, 1) for k in (0, 1)]
     assert polytope_volume(cube, 3) == F(1)
-    simplices = triangulate([vec(p) for p in cube])
+    simplices = _fan(cube, 1)
+    assert simplices == fraction_triangulate(cube)
     assert len(simplices) == 6  # three squares away from the apex, two triangles each
     assert all(fraction_simplex_volume(s, 3) == F(1, 6) for s in simplices)
 

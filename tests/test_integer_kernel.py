@@ -17,10 +17,11 @@ from lelong.cli import main
 from lelong.exactgeom import (
     MAX_DD_WORK,
     BudgetExceeded,
+    _bareiss,
+    _fan,
+    _integer_points,
     double_description,
-    eliminate,
     polytope_volume,
-    triangulate,
 )
 from lelong.poly_geom import ExponentSet, cone_volume
 from lelong.weights import CoordLog, MaxOf, PolyLog, Scale, indicator_support
@@ -38,22 +39,19 @@ from exact_oracles import (
 
 
 @pytest.mark.parametrize("call", [
-    lambda: eliminate([[0.1, 1], [1, 2]]),
     lambda: double_description([[1, 0], [0, 0.5]], 2),
-    lambda: triangulate([(0, 0), (0.5, 0), (0, 1)]),
     lambda: polytope_volume([(0, 0), (0.5, 0), (0, 1)], 2),
     lambda: cone_volume([(0.5, 0), (0, 1)], 2),
-], ids=["eliminate", "double_description", "triangulate", "polytope_volume", "cone_volume"])
+], ids=["double_description", "polytope_volume", "cone_volume"])
 def test_kernel_entry_points_reject_floats_like_frac(call):
     with pytest.raises(TypeError, match="expected an exact rational, got float"):
         call()
 
 
 def test_kernel_entry_points_read_ints_fractions_and_strings_alike():
-    assert eliminate([["1/2", 1], [1, "2"]]) == eliminate([[F(1, 2), 1], [1, 2]])
-    assert eliminate([[F(1, 2), 1], [1, 2]])[2] == F(0)
     assert double_description([["1/2", 0], [0, 1]], 2) == double_description([[1, 0], [0, 1]], 2)
-    assert triangulate([("0", "0"), ("1/2", "0"), ("0", "1")]) == [(("0", "0"), ("0", "1"), ("1/2", "0"))]
+    assert double_description([[F(1, 2), 0], [0, 1]], 2) == double_description([[1, 0], [0, 1]], 2)
+    assert polytope_volume([(0, 0), (F(1, 2), 0), (0, 1)], 2) == F(1, 4)
     assert polytope_volume([("0", "0"), ("1/2", "0"), ("0", "1")], 2) == F(1, 4)
 
 
@@ -65,10 +63,11 @@ _q = st.one_of(st.integers(-6, 6), st.builds(F, st.integers(-6, 6), st.sampled_f
 
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(st.integers(1, 4).flatmap(
-    lambda cols: st.lists(st.lists(_q, min_size=cols, max_size=cols), min_size=0, max_size=4)
+    lambda cols: st.lists(st.lists(st.integers(-36, 36), min_size=cols, max_size=cols), min_size=0, max_size=4)
 ))
 def test_eliminate_matches_the_fraction_kernel(rows):
-    assert eliminate(rows) == fraction_eliminate(rows)
+    m, pivots, det = _bareiss([list(r) for r in rows], full=True)
+    assert (m, pivots, F(det)) == fraction_eliminate(rows)
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
@@ -96,17 +95,11 @@ def _point_sets(draw):
 @given(_point_sets())
 def test_triangulation_and_volume_match_the_fraction_kernel(case):
     n, pts = case
-    assert triangulate(pts) == fraction_triangulate(pts)
+    ints, scale = _integer_points(pts)
+    simplices = _fan(ints, scale)
+    assert [tuple(tuple(F(x, scale) for x in p) for p in s) for s in simplices] == fraction_triangulate(pts)
     for m in range(n + 1):
         assert polytope_volume(pts, m) == fraction_polytope_volume(pts, m)
-
-
-def test_triangulation_returns_the_given_points():
-    square = [(F(1), 0), (0, F(1, 2)), (0, 0), (1, F(1, 2)), (0, F(0))]
-    simplices = triangulate(square)
-    assert simplices == fraction_triangulate(square)
-    assert {type(x) for s in simplices for p in s for x in p} == {int, F}
-    assert polytope_volume(square, 2) == F(1, 2)
 
 
 _exponent = st.one_of(st.integers(0, 6), st.builds(F, st.integers(0, 6), st.sampled_from((2, 3, 4))))
@@ -152,6 +145,23 @@ def test_diagram_builds_fractions_only_for_its_vertices(monkeypatch, points):
     monkeypatch.setattr(poly_geom, "Fraction", fake)
     vertices, _ = poly_geom._diagram(points, len(points[0]))
     assert sorted(built) == sorted(x for t0, _ in vertices for x in t0)
+
+
+@pytest.mark.parametrize("points, massless", [
+    ([(0, 4), (2, 2), (3, 5), (4, 1), (7, 0)], 0),
+    ([(4, 0, 0), (0, 5, 0), (0, 0, 3), (1, 1, 1), (2, 1, 0), (0, 2, 1)], 0),
+    ([(4, 0, 0), (0, 5, 0), (1, 1, 1), (2, 1, 0), (0, 2, 1)], 2),
+])
+def test_measure_builds_fractions_only_for_its_output(monkeypatch, points, massless):
+    S = ExponentSet.of(points)
+    fake, built = _counting_fraction()
+    monkeypatch.setattr(exactgeom, "Fraction", fake)
+    monkeypatch.setattr(poly_geom, "Fraction", fake)
+    vertices, gm = poly_geom._measure(S)
+    mass = dict(gm.atoms)
+    assert len(vertices) - len(mass) == massless
+    output = [x for t0 in vertices for x in t0] + [mass.get(t0, F(0)) for t0 in vertices] + [gm.total_mass]
+    assert sorted(built) == sorted(output)
 
 
 @pytest.mark.parametrize("u, n", [
