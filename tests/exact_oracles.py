@@ -1,9 +1,10 @@
 """Reference computations for the exact polyhedral layer.
 
 The oracles run on the `Fraction` kernel at the end of this file, not on
-the integer kernel of `exactgeom` that they check.  Lasserre's recursion measures an H-polytope without enumerating a single
-vertex, so its complement volume checks the atom masses of
-`gamma_measure`, which come from vertices and triangulated cones.
+the integer kernel of `exactgeom` that they check.  Lasserre's recursion
+measures an H-polytope without enumerating a single vertex, so its
+complement volume checks the atom masses of `gamma_measure`, which come
+from vertices and triangulated cones.
 `enumerate_vertices` gives the vertices of an H-polytope, whose
 triangulated volume the recursion checks in turn.  `sweep_cones` finds
 the linearity cones of a piecewise-linear weight in one and two variables

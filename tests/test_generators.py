@@ -46,7 +46,7 @@ def _trees(n):
     ), max_leaves=6)
 
 
-@settings(max_examples=400, deadline=None, derandomize=True)
+@settings(max_examples=200, deadline=None, derandomize=True)
 @given(st.integers(1, 3).flatmap(lambda n: st.tuples(st.just(n), _trees(n))))
 def test_one_walk_gives_what_the_two_walks_gave(case):
     n, w = case

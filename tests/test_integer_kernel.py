@@ -51,7 +51,7 @@ def test_kernel_entry_points_reject_floats_like_frac(call):
 def test_kernel_entry_points_read_ints_fractions_and_strings_alike():
     assert double_description([["1/2", 0], [0, 1]], 2) == double_description([[1, 0], [0, 1]], 2)
     assert double_description([[F(1, 2), 0], [0, 1]], 2) == double_description([[1, 0], [0, 1]], 2)
-    assert polytope_volume([(0, 0), (F(1, 2), 0), (0, 1)], 2) == F(1, 4)
+    assert polytope_volume([(F(1), 0), (0, F(1, 2)), (0, 0), (1, F(1, 2)), (0, F(0))], 2) == F(1, 2)
     assert polytope_volume([("0", "0"), ("1/2", "0"), ("0", "1")], 2) == F(1, 4)
 
 
@@ -63,7 +63,8 @@ _q = st.one_of(st.integers(-6, 6), st.builds(F, st.integers(-6, 6), st.sampled_f
 
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(st.integers(1, 4).flatmap(
-    lambda cols: st.lists(st.lists(st.integers(-36, 36), min_size=cols, max_size=cols), min_size=0, max_size=4)
+    lambda cols: st.lists(st.lists(st.integers(-36, 36), min_size=cols, max_size=cols),
+                          min_size=0, max_size=4)
 ))
 def test_eliminate_matches_the_fraction_kernel(rows):
     m, pivots, det = _bareiss([list(r) for r in rows], full=True)
