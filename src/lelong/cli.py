@@ -163,9 +163,8 @@ def _parse_expr(node, dimension: int, where: str):
         if tag == "scale":
             _require_keys(node, {"node", "factor", "child"}, where)
             factor = node.get("factor")
-            if isinstance(factor, float) and not math.isfinite(factor):
-                raise ProblemError(f"{where}.factor", f"expected a finite number, got {json.dumps(factor)}")
-            f = factor if isinstance(factor, float) else _rational(factor, f"{where}.factor")
+            wf = f"{where}.factor"
+            f = _floatlike(factor, wf) if isinstance(factor, float) else _rational(factor, wf)
             return weights.Scale(f, _parse_expr(node.get("child"), dimension, f"{where}.child"))
         if tag == "neg_pow_log":
             _require_keys(node, {"node", "axis", "power"}, where)
@@ -261,12 +260,16 @@ def parse_problem(source, name: str | None = None) -> ProblemFile:
 
 
 def _floatlike(value, where: str) -> float:
-    """Accept JSON numbers and exact-rational forms in float slots."""
+    """Accept finite JSON numbers and exact-rational forms in float slots."""
     if isinstance(value, bool):
         raise ProblemError(where, "expected a number, got a boolean")
-    if isinstance(value, (int, float)):
-        return float(value)
-    return float(_rational(value, where))
+    try:
+        x = float(value if isinstance(value, (int, float)) else _rational(value, where))
+    except OverflowError:  # an int or rational beyond the float range
+        x = math.inf
+    if not math.isfinite(x):
+        raise ProblemError(where, f"expected a finite number, got {json.dumps(value)}")
+    return x
 
 
 def _int(value, where: str) -> int:
@@ -537,27 +540,70 @@ def _round_floats(x):
     return x
 
 
+_quote = json.encoder.encode_basestring_ascii
+_CONSTANTS = {None: "null", True: "true", False: "false"}
+
+
+def _json(x, pad: str, out: list[str]) -> list[str]:
+    """Append to `out` the text of json.dumps(_round_floats(x), sort_keys=True, indent=2).
+
+    One pass, with floats rounded by `_round_floats`; `pad` is the
+    newline and indentation of the line x is on.  Strings go through
+    the json module's C encoder, so the text is ASCII, as with
+    ensure_ascii.  Keys must be strings, as in every report.
+    """
+    if isinstance(x, str):
+        out.append(_quote(x))
+    elif isinstance(x, dict):
+        inner = sep = pad + "  "
+        out.append("{")
+        for k in sorted(x):
+            out += (sep, _quote(k), ": ")
+            _json(x[k], inner, out)
+            sep = "," + inner
+        out.append(pad + "}" if x else "}")
+    elif isinstance(x, (list, tuple)):
+        inner = sep = pad + "  "
+        out.append("[")
+        for v in x:
+            out.append(sep)
+            _json(v, inner, out)
+            sep = "," + inner
+        out.append(pad + "]" if x else "]")
+    elif isinstance(x, float):
+        x = _round_floats(x)
+        out.append(float.__repr__(x) if isinstance(x, float) else _quote(x))
+    elif x is None or x is True or x is False:
+        out.append(_CONSTANTS[x])
+    elif isinstance(x, int):
+        out.append(int.__repr__(x))
+    else:
+        raise TypeError(f"Object of type {type(x).__name__} is not JSON serializable")
+    return out
+
+
+def _report_tree(report: Report) -> dict:
+    return {
+        "problem": report.problem,
+        "dimension": report.dimension,
+        "config": report.config,
+        "tasks": report.tasks,
+        "summary": {
+            "total": len(report.tasks),
+            "errors": sum(t["status"] == "error" for t in report.tasks),
+            "failed_checks": sum(t["status"] == "fail" for t in report.tasks),
+        },
+    }
+
+
 def report_dict(report: Report) -> dict:
-    return _round_floats(
-        {
-            "problem": report.problem,
-            "dimension": report.dimension,
-            "config": report.config,
-            "tasks": report.tasks,
-            "summary": {
-                "total": len(report.tasks),
-                "errors": sum(t["status"] == "error" for t in report.tasks),
-                "failed_checks": sum(t["status"] == "fail" for t in report.tasks),
-            },
-        }
-    )
+    return _round_floats(_report_tree(report))
 
 
 def emit(report: Report, fmt: str) -> bytes:
     """Deterministic serialization; rationals exact, floats at 12 digits."""
     if fmt == "json":
-        payload = json.dumps(report_dict(report), sort_keys=True, indent=2)
-        return (payload + "\n").encode("utf-8")
+        return ("".join(_json(_report_tree(report), "\n", [])) + "\n").encode("utf-8")
     if fmt == "text":
         return _emit_text(report).encode("utf-8")
     if fmt == "csv":
@@ -769,7 +815,7 @@ def main(argv: Sequence[str] | None = None) -> int:
 
     if args.command == "selftest":
         payload, code = run_selftest()
-        sys.stdout.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+        sys.stdout.write("".join(_json(payload, "\n", [])) + "\n")
         return code
 
     try:

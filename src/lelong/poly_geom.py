@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache, wraps
 from typing import Iterable, Sequence
 
 from .exactgeom import Vec, _bareiss, dot, double_description, polytope_volume, vec
@@ -109,13 +110,34 @@ def _check_axes(S: ExponentSet) -> None:
             raise DegenerateIndicatorError(k + 1)
 
 
-def _diagram(points: Sequence[Vec], n: int) -> tuple[
-    list[tuple[Vec, tuple[Vec, ...]]], list[tuple[Vec, list[tuple[int, ...]]]]
+def _memo(fn):
+    """fn(points, n), memoized per process on (tuple(vec(p) for p in points), n).
+
+    The key is built before the lookup, so a float raises TypeError on
+    every call, and ints, 'p/q' strings and Fractions of equal value
+    share one entry and get the same Fraction results.  Results are
+    tuples; exceptions (BudgetExceeded among them) are not stored.
+    """
+    cached = lru_cache(maxsize=1024)(fn)
+
+    @wraps(fn)
+    def memo(points: Sequence[Sequence], n: int):
+        return cached(tuple(vec(p) for p in points), n)
+
+    memo.cache_clear = cached.cache_clear
+    return memo
+
+
+@_memo
+def _diagram(points: tuple[Vec, ...], n: int) -> tuple[
+    tuple[tuple[Vec, tuple[Vec, ...]], ...], tuple[tuple[Vec, tuple[tuple[int, ...], ...]], ...]
 ]:
     """One double-description pass over the sublevel polyhedron of the points.
 
     The points J are distinct, with coordinates >= 0; the zero vector is
-    allowed.  The rows over (t, lam) are the orthant t_k <= 0, -lam <= 0,
+    allowed.  The pass runs once per distinct canonical set per process
+    (see `_memo`), so a per-task count of its work sees it, and must
+    charge it, only on a miss.  The rows over (t, lam) are the orthant t_k <= 0, -lam <= 0,
     which starts the pass, and <J, t> + lam <= 0 for each J.  Returns the
     sorted vertices t0, each with its dual face (the hull vertices J with
     <J, t0> = -1), and the fan of f: each hull vertex J of conv(J) + R_+^n
@@ -132,13 +154,13 @@ def _diagram(points: Sequence[Vec], n: int) -> tuple[
     rays = double_description(orthant + [list(J) + [1] for J in points], n + 1)
     active = [[ray for ray, act in rays if n + 1 + j in act] for j in range(len(points))]
     hull = [j for j, on in enumerate(active) if len(on) >= n and len(_bareiss(list(on))[1]) == n]
-    vertices = sorted(
+    vertices = tuple(sorted(
         (tuple(Fraction(x, ray[n]) for x in ray[:n]),
          tuple(points[j] for j in hull if n + 1 + j in act))
         for ray, act in rays
         if ray[n] > 0
-    )
-    return vertices, [(points[j], [ray[:n] for ray in active[j]]) for j in hull]
+    ))
+    return vertices, tuple((points[j], tuple(ray[:n] for ray in active[j])) for j in hull)
 
 
 def sublevel_vertices(S: ExponentSet) -> SublevelPolyhedron:
@@ -202,6 +224,11 @@ def gamma_measure(S: ExponentSet) -> GammaMeasure:
 def _measure(S: ExponentSet) -> tuple[tuple[Vec, ...], GammaMeasure]:
     """Every sublevel extreme point, zero-mass ones included, and the measure, from one diagram."""
     _check_axes(S)
-    vertices = _diagram(S.points, S.dimension)[0]
-    atoms = tuple((t0, mass) for t0, face in vertices if (mass := cone_volume(face, S.dimension)) > 0)
+    return _masses(S.points, S.dimension)
+
+
+@_memo
+def _masses(points: tuple[Vec, ...], n: int) -> tuple[tuple[Vec, ...], GammaMeasure]:
+    vertices = _diagram(points, n)[0]
+    atoms = tuple((t0, mass) for t0, face in vertices if (mass := cone_volume(face, n)) > 0)
     return tuple(t0 for t0, _ in vertices), GammaMeasure(atoms, Fraction(sum(m for _, m in atoms)))

@@ -5,8 +5,10 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from lelong.cli import ProblemError, emit, execute, main, parse_problem, run_selftest
+from lelong.cli import ProblemError, _json, _round_floats, emit, execute, main, parse_problem, run_selftest
 from lelong.numeric_oracle import RadialSchedule
 
 
@@ -198,6 +200,50 @@ def test_emit_csv_gamma_columns():
     csv = emit(report, "csv").decode()
     assert "vertex_1,vertex_2,mass_num,mass_den" in csv
     assert "-1/4,-3/4,2,1" in csv
+
+
+def _dumps(x) -> str:
+    """The text the writer must give: json's pure-Python indented encoder."""
+    return json.dumps(_round_floats(x), sort_keys=True, indent=2)
+
+
+_FLOATS = [0.0, -0.0, float("inf"), -float("inf"), float("nan"), 5e-324, -2.5e-320, 1e16, -1e16, 1e22,
+           0.1 + 0.2, 1.0000000000005, 1.00000000000049, 0.1234567890125, 999999999999.5,
+           9.9999999999995, 123456789012345.6, 1.7976931348623157e308]
+_leaves = st.one_of(
+    st.text(max_size=6),
+    st.sampled_from(['"', "\\", "\x00\x1f\x7f", "caf\u00e9 \u20ac \U0001f600", "\u2028\ud800", "a/b\n\t"]),
+    st.integers(-2**70, 2**70),
+    st.sampled_from([10**40, -(10**40), True, False, None]),
+    st.floats(),
+    st.sampled_from(_FLOATS),
+)
+_trees = st.recursive(_leaves, lambda kids: st.one_of(
+    st.lists(kids, max_size=4),
+    st.lists(kids, max_size=3).map(tuple),
+    st.dictionaries(st.text(max_size=4), kids, max_size=4),
+), max_leaves=24)
+
+
+@settings(max_examples=250, deadline=None, derandomize=True)
+@given(_trees)
+@example({})
+@example([])
+@example(())
+@example({"a": [], "b": {}, "c": [{}], "": ()})
+@example(_FLOATS)
+def test_writer_gives_the_bytes_of_json_dumps(tree):
+    assert "".join(_json(tree, "\n", [])) == _dumps(tree)
+
+
+def test_writer_rejects_what_json_rejects():
+    from fractions import Fraction
+
+    for x in (Fraction(1, 2), [1, {"a": 1j}]):
+        with pytest.raises(TypeError, match="is not JSON serializable"):
+            _dumps(x)
+        with pytest.raises(TypeError, match="is not JSON serializable"):
+            _json(x, "\n", [])
 
 
 def test_emit_unknown_format():
@@ -514,6 +560,32 @@ def test_tolerance_reads_exact_rationals():
     assert rec["result"] == _run_one({**task, "tolerance": 0.1})["result"]
     bad = _run_one({**task, "tolerance": True})
     assert bad["error"] == "ProblemError: tasks[0].tolerance: expected a number, got a boolean"
+
+
+_NAN, _INF, _BIG = float("nan"), float("inf"), 10**400
+
+
+@pytest.mark.parametrize("task, where, got", [
+    ({"op": "swept_measure_apply", "phi": "axes", "w": "cusp", "r": _NAN, "nodes": 64}, "r", "NaN"),
+    ({"op": "swept_measure_apply", "phi": "axes", "w": "cusp", "r": -_BIG, "nodes": 64}, "r", f"-{_BIG}"),
+    ({"op": "directional_lelong_numeric", "w": "cusp", "a": [_NAN, 1]}, "a[0]", "NaN"),
+    ({"op": "indicator_profile", "w": "cusp", "directions": [[1, 1], [_INF, 1]]},
+     "directions[1][0]", "Infinity"),
+    ({"op": "directional_lelong_numeric", "w": "cusp", "a": [1, 1], "schedule": {"levels": [-5, _NAN]}},
+     "schedule.levels[1]", "NaN"),
+    ({"op": "directional_lelong_numeric", "w": "cusp", "a": [1, 1], "schedule": {"levels": ["-1e400"]}},
+     "schedule.levels[0]", '"-1e400"'),
+    ({"op": "lelong_bounds_check", "u": "pl", "phi": "axes", "m_list": [1], "tolerance": -_INF},
+     "tolerance", "-Infinity"),
+    ({"op": "lelong_bounds_check", "u": "pl", "phi": "axes", "m_list": [1], "tolerance": [_BIG, 3]},
+     "tolerance", f"[{_BIG}, 3]"),
+], ids=["float", "float-overflow", "floats", "float_rows", "levels", "levels-overflow", "tolerance",
+        "tolerance-overflow"])
+def test_float_slots_reject_non_finite_values(task, where, got):
+    # json reads NaN and Infinity; each used to run (or fail late) as a float
+    rec = _run_one(task)
+    assert rec["status"] == "error"
+    assert rec["error"] == f"ProblemError: tasks[0].{where}: expected a finite number, got {got}"
 
 
 def test_ops_that_take_the_dimension_get_the_problem_dimension():

@@ -145,7 +145,9 @@ def test_diagram_builds_fractions_only_for_its_vertices(monkeypatch, points):
     monkeypatch.setattr(exactgeom, "Fraction", fake)
     monkeypatch.setattr(poly_geom, "Fraction", fake)
     vertices, _ = poly_geom._diagram(points, len(points[0]))
-    assert sorted(built) == sorted(x for t0, _ in vertices for x in t0)
+    # the memo key holds the points as Fractions: one is built per int coordinate
+    key = [F(x) for p in points for x in p if not isinstance(x, F)]
+    assert sorted(built) == sorted(key + [x for t0, _ in vertices for x in t0])
 
 
 @pytest.mark.parametrize("points, massless", [
@@ -173,11 +175,11 @@ def test_measure_builds_fractions_only_for_its_output(monkeypatch, points, massl
 ])
 def test_pl_cones_build_fractions_only_for_the_diagram_vertices(monkeypatch, u, n):
     gens = list(indicator_support(u, n).points)
-    vertices, _ = poly_geom._diagram(sorted(set(gens)), n)
     fake, built = _counting_fraction()
     for module in (exactgeom, poly_geom, demailly):
         monkeypatch.setattr(module, "Fraction", fake)
     assert demailly._pl_cones(gens, n)
+    vertices, _ = poly_geom._diagram(sorted(set(gens)), n)  # the memo's entry: builds nothing
     assert sorted(built) == sorted(x for t0, _ in vertices for x in t0)
 
 

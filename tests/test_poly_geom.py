@@ -1,9 +1,11 @@
 import random
 from fractions import Fraction as F
+from itertools import permutations
 
 import pytest
 
-from lelong.exactgeom import dot, vec
+from lelong import exactgeom, poly_geom
+from lelong.exactgeom import BudgetExceeded, dot, vec
 from lelong.poly_geom import (
     DegenerateIndicatorError,
     ExponentSet,
@@ -379,3 +381,82 @@ def test_gamma_wall_atoms_have_no_mass():
     g = gamma_measure(es((1, 1)))
     assert g.atoms == ()
     assert g.total_mass == 0
+
+
+# ---------------------------------------------------------------------------
+# the per-process memo of diagrams and measures
+
+
+def _counting_double_description(monkeypatch) -> list:
+    """Count every double-description pass, the diagram's and the cone volumes'."""
+    calls = []
+    dd = exactgeom.double_description
+
+    def counting(rows, d):
+        calls.append(d)
+        return dd(rows, d)
+
+    monkeypatch.setattr(exactgeom, "double_description", counting)
+    monkeypatch.setattr(poly_geom, "double_description", counting)
+    return calls
+
+
+def test_a_float_point_raises_after_an_int_call_of_equal_value():
+    poly_geom._diagram([(2, 0), (1, 1), (0, 3)], 2)
+    poly_geom._measure(es((2, 0), (1, 1), (0, 3)))
+    with pytest.raises(TypeError, match="expected an exact rational, got float"):
+        poly_geom._diagram([(2.0, 0), (1, 1), (0, 3)], 2)
+    with pytest.raises(TypeError, match="expected an exact rational, got float"):
+        poly_geom._measure(ExponentSet(2, ((0.0, 3.0), (1.0, 1.0), (2.0, 0.0))))
+
+
+_FORMS = [
+    [(2, 0), (1, 1), (0, 3)],
+    [("4/2", "0"), ("1", "1"), ("0", "3")],
+    [(F(2), F(0)), (F(1), F(1)), (F(0), F(3))],
+]
+
+
+def _fraction_leaves(x) -> bool:
+    if isinstance(x, tuple):
+        return all(_fraction_leaves(y) for y in x)
+    return type(x) is F
+
+
+@pytest.mark.parametrize("order", list(permutations(range(3))))
+def test_int_string_and_fraction_points_share_one_entry(monkeypatch, order):
+    calls = _counting_double_description(monkeypatch)
+    diagrams = [poly_geom._diagram(_FORMS[i], 2) for i in order]
+    masses = [poly_geom._masses(_FORMS[i], 2) for i in order]
+    assert len(calls) == 1  # one diagram for all six calls; the atom cones are triangles
+    for results in (diagrams, masses):
+        assert len({repr(r) for r in results}) == 1
+    vertices, fan = diagrams[0]
+    assert _fraction_leaves(vertices) and all(_fraction_leaves(J) for J, _ in fan)  # rays are ints
+    assert type(fan) is tuple and all(type(rays) is tuple for _, rays in fan)  # no caller can change an entry
+    assert _fraction_leaves(masses[0][0])
+    assert all(type(m) is F for _, m in masses[0][1].atoms)
+
+
+def test_a_set_over_the_budget_raises_on_every_call(monkeypatch):
+    S = es((4, 0, 0), (0, 5, 0), (0, 0, 3), (1, 1, 1), (2, 1, 0), (0, 2, 1))
+    monkeypatch.setattr(exactgeom, "MAX_DD_WORK", 20)
+    for _ in range(2):
+        with pytest.raises(BudgetExceeded):
+            gamma_measure(S)
+        with pytest.raises(BudgetExceeded):
+            poly_geom._diagram(S.points, 3)
+    monkeypatch.undo()
+    assert gamma_measure(S).total_mass == complement_volume(S)
+
+
+def test_an_equal_exponent_set_reuses_the_diagram(monkeypatch):
+    calls = _counting_double_description(monkeypatch)
+    pts = [(3, 0), (1, 1), (0, 2), (2, 1)]
+    first = gamma_measure(ExponentSet.of(pts))
+    done = len(calls)
+    assert done > 0
+    S = ExponentSet.of(reversed(pts))
+    assert S is not ExponentSet.of(pts)
+    assert gamma_measure(S) == first
+    assert len(calls) == done
