@@ -135,9 +135,7 @@ def _diagram(points: tuple[Vec, ...], n: int) -> tuple[
     """One double-description pass over the sublevel polyhedron of the points.
 
     The points J are distinct, with coordinates >= 0; the zero vector is
-    allowed.  The pass runs once per distinct canonical set per process
-    (see `_memo`), so a per-task count of its work sees it, and must
-    charge it, only on a miss.  The rows over (t, lam) are the orthant t_k <= 0, -lam <= 0,
+    allowed.  The rows over (t, lam) are the orthant t_k <= 0, -lam <= 0,
     which starts the pass, and <J, t> + lam <= 0 for each J.  Returns the
     sorted vertices t0, each with its dual face (the hull vertices J with
     <J, t0> = -1), and the fan of f: each hull vertex J of conv(J) + R_+^n
@@ -149,6 +147,9 @@ def _diagram(points: tuple[Vec, ...], n: int) -> tuple[
     cone {t <= 0 : f(t) = <J, t>}, and these cones tile the orthant.  No
     axis check is made here, since bounded faces exist even when an axis
     direction is unblocked.
+
+    The pass runs once per distinct canonical set per process (see
+    `_memo`), so a count of DD work made per task sees it only on a miss.
     """
     orthant = [[(-1 if k == n else 1) * int(i == k) for i in range(n + 1)] for k in range(n + 1)]
     rays = double_description(orthant + [list(J) + [1] for J in points], n + 1)
