@@ -204,15 +204,19 @@ def parse_problem(source, name: str | None = None) -> ProblemFile:
         data = source
         label = name or "<inline>"
     else:
-        if hasattr(source, "read"):
-            text = source.read()
-            label = name or getattr(source, "name", "<stream>")
-        else:
-            label = name or str(source)
-            with open(source, "r", encoding="utf-8") as fh:
-                text = fh.read()
+        reads = hasattr(source, "read")
+        label = name or (getattr(source, "name", "<stream>") if reads else str(source))
         try:
+            if reads:
+                text = source.read()
+            else:
+                with open(source, "r", encoding="utf-8") as fh:
+                    text = fh.read()
             data = json.loads(text)
+        except UnicodeDecodeError as exc:
+            raise ProblemError(label, f"not UTF-8 text: {exc}") from None
+        except RecursionError:
+            raise ProblemError(label, "JSON nested too deeply") from None
         except json.JSONDecodeError as exc:
             raise ProblemError(label, f"malformed JSON at line {exc.lineno} column {exc.colno}: {exc.msg}") from None
     if not isinstance(data, dict):
@@ -596,10 +600,6 @@ def _report_tree(report: Report) -> dict:
     }
 
 
-def report_dict(report: Report) -> dict:
-    return _round_floats(_report_tree(report))
-
-
 def emit(report: Report, fmt: str) -> bytes:
     """Deterministic serialization; rationals exact, floats at 12 digits."""
     if fmt == "json":
@@ -611,33 +611,35 @@ def emit(report: Report, fmt: str) -> bytes:
     raise ValueError(f"unsupported format {fmt!r}; expected text, json or csv")
 
 
-def _flatten(prefix: str, value, rows: list[tuple[str, str]]):
+def _flatten(prefix: str, value, rows: list[tuple[str, str]]) -> list[tuple[str, str]]:
+    """Append to `rows` a (path, JSON text) row for each leaf of value."""
     if isinstance(value, dict):
         for k in sorted(value):
             _flatten(f"{prefix}.{k}" if prefix else k, value[k], rows)
-    elif isinstance(value, list):
+    elif isinstance(value, (list, tuple)):
         for i, v in enumerate(value):
             _flatten(f"{prefix}[{i}]", v, rows)
     else:
-        rows.append((prefix, json.dumps(value)))
+        rows.append((prefix, "".join(_json(value, "", []))))
+    return rows
+
+
+def _task_rows(task: dict, prefix: str, rows: list[tuple[str, str]]) -> list[tuple[str, str]]:
+    """Append to `rows` the rows of a task's result under `prefix`, then its error row."""
+    _flatten(prefix, task.get("result", {}), rows)
+    return _flatten("error", task["error"], rows) if "error" in task else rows
 
 
 def _emit_text(report: Report) -> str:
     out = io.StringIO()
-    data = report_dict(report)
-    out.write(f"problem: {data['problem']}   dimension: {data['dimension']}\n")
-    for task in data["tasks"]:
+    out.write(f"problem: {report.problem}   dimension: {report.dimension}\n")
+    for task in report.tasks:
         out.write(f"\n[{task['index']}] {task['op']}  ->  {task['status'].upper()}\n")
-        rows: list[tuple[str, str]] = []
-        _flatten("inputs", task["inputs"], rows)
-        if "result" in task:
-            _flatten("result", task["result"], rows)
-        if "error" in task:
-            rows.append(("error", json.dumps(task["error"])))
+        rows = _task_rows(task, "result", _flatten("inputs", task["inputs"], []))
         width = max((len(k) for k, _ in rows), default=0)
         for k, v in rows:
             out.write(f"  {k.ljust(width)}  {v}\n")
-    s = data["summary"]
+    s = _report_tree(report)["summary"]
     out.write(
         f"\nsummary: {s['total']} tasks, {s['errors']} errors, {s['failed_checks']} failed checks\n"
     )
@@ -646,28 +648,18 @@ def _emit_text(report: Report) -> str:
 
 def _emit_csv(report: Report) -> str:
     out = io.StringIO()
-    data = report_dict(report)
-    for task in data["tasks"]:
+    for task in report.tasks:
         out.write(f"# task {task['index']}: {task['op']} ({task['status']})\n")
         result = task.get("result", {})
         if task["op"] == "gamma_measure" and "atoms" in result:
-            dim = report.dimension
-            coord_cols = ",".join(f"vertex_{k + 1}" for k in range(dim))
-            out.write(f"{coord_cols},mass_num,mass_den\n")
+            out.write("".join(f"vertex_{k + 1}," for k in range(report.dimension)) + "mass_num,mass_den\n")
             for atom in result["atoms"]:
                 mass = Fraction(atom["mass"])
-                out.write(
-                    ",".join(atom["vertex"])
-                    + f",{mass.numerator},{mass.denominator}\n"
-                )
+                out.write(",".join(atom["vertex"]) + f",{mass.numerator},{mass.denominator}\n")
             out.write(f"total_mass,{result['total_mass']}\n")
         else:
-            rows: list[tuple[str, str]] = []
-            _flatten("", result, rows)
-            if "error" in task:
-                rows.append(("error", json.dumps(task["error"])))
             out.write("field,value\n")
-            for k, v in rows:
+            for k, v in _task_rows(task, "", []):
                 out.write(f"{k},{v}\n")
         out.write("\n")
     return out.getvalue()
@@ -755,7 +747,7 @@ def run_selftest() -> tuple[dict, int]:
     for idx, (problem, expectations) in enumerate(_golden_problems()):
         p = parse_problem(problem, name=f"selftest[{idx}]")
         report = execute(p)
-        data = report_dict(report)
+        data = _round_floats(_report_tree(report))
         checks = []
         for exp in expectations:
             task = data["tasks"][exp["task"]]
@@ -785,16 +777,21 @@ def run_selftest() -> tuple[dict, int]:
         if report.any_error:
             worst = max(worst, 1)
         sections.append({"problem": data, "checks": checks})
-    payload = _round_floats({"selftest": sections, "exit_code": worst})
-    return payload, worst
+    return {"selftest": sections, "exit_code": worst}, worst
 
 
 # ---------------------------------------------------------------------------
 # entry point
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message: str):
+        """A usage error is an input error: one line and exit code 1."""
+        self.exit(1, f"error: {message}\n")
+
+
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="lelong",
         description="Exact and numerical Lelong-number calculus for monomial-type weights.",
     )
@@ -804,10 +801,11 @@ def main(argv: Sequence[str] | None = None) -> int:
     run_p.add_argument("file", help="problem file path")
     run_p.add_argument("--format", choices=("text", "json", "csv"), default="text")
     run_p.add_argument("--out", default=None, help="write output to a file instead of stdout")
-    run_p.add_argument("--rmin", type=float, default=-30.0, help="deepest schedule level")
-    run_p.add_argument("--levels", type=int, default=4, help="number of schedule levels")
-    run_p.add_argument("--nodes", type=int, default=256, help="angular quadrature nodes")
-    run_p.add_argument("--tol", type=float, default=0.02, help="default check tolerance")
+    # the four numbers are read below like the slots they default
+    run_p.add_argument("--rmin", default=-30.0, help="deepest schedule level")
+    run_p.add_argument("--levels", default=4, help="number of schedule levels")
+    run_p.add_argument("--nodes", default=256, help="angular quadrature nodes")
+    run_p.add_argument("--tol", default=0.02, help="default check tolerance")
 
     sub.add_parser("selftest", help="run the built-in golden suite (JSON on stdout)")
 
@@ -819,21 +817,24 @@ def main(argv: Sequence[str] | None = None) -> int:
         return code
 
     try:
+        sched = RadialSchedule.geometric(_floatlike(args.rmin, "--rmin"), _int(args.levels, "--levels"),
+                                         _int(args.nodes, "--nodes"))
+        tol = _floatlike(args.tol, "--tol")
         problem = parse_problem(args.file)
-    except (ProblemError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
-    if args.rmin >= 0:
-        sys.stderr.write("error: --rmin must be negative\n")
-        return 1
-    sched = RadialSchedule.geometric(args.rmin, args.levels, args.nodes)
-    report = execute(problem, default_sched=sched, default_tol=args.tol)
+    report = execute(problem, default_sched=sched, default_tol=tol)
     blob = emit(report, args.format)
-    if args.out:
+    if not args.out:
+        sys.stdout.buffer.write(blob)
+        return report.exit_code()
+    try:
         with open(args.out, "wb") as fh:
             fh.write(blob)
-    else:
-        sys.stdout.buffer.write(blob)
+    except OSError as exc:
+        sys.stderr.write(f"error: --out: {exc}\n")
+        return 1
     return report.exit_code()
 
 

@@ -138,6 +138,8 @@ class RadialSchedule:
     def __post_init__(self):
         if len(self.levels) < 2:
             raise ValueError("a schedule needs at least two levels")
+        if not all(math.isfinite(r) for r in self.levels):
+            raise ValueError("levels must be finite")
         if any(r >= 0 for r in self.levels):
             raise ValueError("levels must be negative")
         if any(a <= b for a, b in zip(self.levels, self.levels[1:])):
@@ -150,6 +152,8 @@ class RadialSchedule:
     @classmethod
     def geometric(cls, rmin: float, count: int, nodes: int = 256,
                   extrapolation: str = "richardson_linear_in_1/r") -> "RadialSchedule":
+        if count >= 2:  # check the shallowest and deepest levels before building them all
+            cls((rmin * 2.0 ** (1 - count), rmin), nodes, extrapolation)
         levels = tuple(rmin * 2.0 ** (i + 1 - count) for i in range(count))
         return cls(levels=levels, angular_nodes=nodes, extrapolation=extrapolation)
 

@@ -144,7 +144,9 @@ def torus_values(w, t: Sequence, theta: Sequence) -> np.ndarray:
     if isinstance(w, NegPowLog):
         tk = np.asarray(t[w.axis - 1], dtype=float)
         with np.errstate(invalid="ignore"):
-            return -np.abs(tk) ** float(w.power)
+            # a 0-d point as a length-1 array: numpy's scalar power rounds
+            # differently from its array loop, which grids run
+            return (-np.abs(np.atleast_1d(tk)) ** float(w.power)).reshape(tk.shape)
     if isinstance(w, Scale):
         return float(w.factor) * torus_values(w.child, t, theta)
     if isinstance(w, MaxOf):

@@ -2,13 +2,15 @@ import json
 import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from lelong.cli import ProblemError, _json, _round_floats, emit, execute, main, parse_problem, run_selftest
+from lelong.cli import (ProblemError, _flatten, _json, _round_floats, emit, execute, main, parse_problem,
+                        run_selftest)
 from lelong.numeric_oracle import RadialSchedule
 
 
@@ -207,6 +209,19 @@ def _dumps(x) -> str:
     return json.dumps(_round_floats(x), sort_keys=True, indent=2)
 
 
+def _rounded_rows(prefix: str, value, rows: list) -> list:
+    """The rows text and CSV reports must give: the leaves of the rounded tree through json.dumps."""
+    if isinstance(value, dict):
+        for k in sorted(value):
+            _rounded_rows(f"{prefix}.{k}" if prefix else k, value[k], rows)
+    elif isinstance(value, list):
+        for i, v in enumerate(value):
+            _rounded_rows(f"{prefix}[{i}]", v, rows)
+    else:
+        rows.append((prefix, json.dumps(value)))
+    return rows
+
+
 _FLOATS = [0.0, -0.0, float("inf"), -float("inf"), float("nan"), 5e-324, -2.5e-320, 1e16, -1e16, 1e22,
            0.1 + 0.2, 1.0000000000005, 1.00000000000049, 0.1234567890125, 999999999999.5,
            9.9999999999995, 123456789012345.6, 1.7976931348623157e308]
@@ -234,6 +249,7 @@ _trees = st.recursive(_leaves, lambda kids: st.one_of(
 @example(_FLOATS)
 def test_writer_gives_the_bytes_of_json_dumps(tree):
     assert "".join(_json(tree, "\n", [])) == _dumps(tree)
+    assert _flatten("", tree, []) == _rounded_rows("", _round_floats(tree), [])
 
 
 def test_writer_rejects_what_json_rejects():
@@ -363,6 +379,90 @@ def test_report_names_the_file_by_its_base_name(tmp_path, capsys):
 def test_main_missing_file(capsys):
     code = main(["run", "/nonexistent/prob.json"])
     assert code == 1
+
+
+_TWO_TASKS = {
+    "dimension": 2,
+    "objects": {
+        "w1": {"kind": "monomial_weight", "exponents": [[2, 0], [0, 3]]},
+        "cusp": {"kind": "polynomial_log", "terms": [{"coeff": [1, 0], "exponent": [2, 0]},
+                                                      {"coeff": [1, 0], "exponent": [0, 3]}]},
+    },
+    "tasks": [{"op": "newton_number", "phi": "w1"},
+              {"op": "directional_lelong_numeric", "w": "cusp", "a": [1, 1]}],
+}
+
+
+def _exit_code(argv) -> int:
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+# (flags, problem file bytes or None for _TWO_TASKS, text the error line holds)
+_BAD_RUNS = [
+    (["--levels", "1"], None, "error: a schedule needs at least two levels"),
+    (["--levels", "x"], None, "error: --levels: bad rational string 'x'"),
+    (["--levels", "100000000"], None, "error: levels must be negative"),
+    (["--nodes", "10"], None, "error: angular_nodes must be at least 64"),
+    (["--nodes", "64.5"], None, 'error: --nodes: expected an integer, got "64.5"'),
+    (["--tol", "nan"], None, "error: --tol: bad rational string 'nan'"),
+    (["--tol", "inf"], None, "error: --tol: bad rational string 'inf'"),
+    (["--rmin", "nan"], None, "error: --rmin: bad rational string 'nan'"),
+    (["--rmin", "0"], None, "error: levels must be negative"),
+    (["--rmin", "5"], None, "error: levels must be negative"),
+    (["--format", "xml"], None, "error: argument --format: invalid choice: 'xml'"),
+    (["--out", "{tmp}/missing/report.json"], None, "error: --out: [Errno 2] No such file or directory"),
+    ([], b'{"dimension": 2, "objects": {}, "tasks": [], "name": "caf\xe9"}', "prob.json: not UTF-8 text"),
+    ([], b"[" * 100000 + b"]" * 100000, "prob.json: JSON nested too deeply"),
+]
+
+
+@pytest.mark.parametrize("flags, content, message", _BAD_RUNS,
+                         ids=[" ".join(flags) or message.split(": ")[1] for flags, _, message in _BAD_RUNS])
+def test_bad_flags_and_inputs_end_in_one_error_line(flags, content, message, tmp_path, capsys):
+    path = tmp_path / "prob.json"
+    path.write_bytes(content or json.dumps(_TWO_TASKS).encode())
+    start = time.perf_counter()
+    code = _exit_code(["run", str(path), *(f.format(tmp=tmp_path) for f in flags)])
+    elapsed = time.perf_counter() - start
+    out, err = capsys.readouterr()
+    assert (code, out) == (1, "")
+    assert elapsed < 1.0
+    assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err, err
+    assert message in err, err
+
+
+@pytest.mark.parametrize("argv", [[], ["frobnicate"], ["run"], ["selftest", "--bogus"]],
+                         ids=lambda argv: " ".join(argv) or "no command")
+def test_usage_errors_exit_1(argv, capsys):
+    assert _exit_code(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_good_flags_read_like_their_slots(tmp_path, capsys):
+    # a flag takes what its slot takes, such as a rational or a decimal
+    # with an exponent, and a decimal gives the float argparse's float gave
+    path = tmp_path / "prob.json"
+    path.write_text(json.dumps(_TWO_TASKS))
+    flags = ["--rmin=-81/4", "--levels", "3", "--nodes", "64", "--tol", "5e-2", "--format", "json"]
+    assert main(["run", str(path), *flags]) == 0
+    config = json.loads(capsys.readouterr().out)["config"]
+    assert config["schedule"] == {"levels": [-5.0625, -10.125, -20.25], "nodes": 64,
+                                  "extrapolation": "richardson_linear_in_1/r"}
+    assert config["tolerance"] == 0.05
+
+
+def test_parse_rejects_bytes_that_are_not_utf8(tmp_path):
+    path = tmp_path / "latin1.json"
+    path.write_bytes('{"dimension": 1, "objects": {"caf\u00e9": 1}, "tasks": []}'.encode("latin-1"))
+    with pytest.raises(ProblemError, match="^" + re.escape(f"{path}: not UTF-8 text")):
+        parse_problem(str(path))
+    with open(path, encoding="utf-8") as fh:
+        with pytest.raises(ProblemError, match="^<stream>: not UTF-8 text"):
+            parse_problem(fh, name="<stream>")
 
 
 def test_selftest_passes_and_is_deterministic():

@@ -165,6 +165,24 @@ def test_schedule_validation():
         RadialSchedule(levels=(-5.0, -10.0), angular_nodes=32)
     with pytest.raises(ValueError):
         RadialSchedule(levels=(-5.0, -10.0), extrapolation="cubic")
+    for levels in [(math.nan, math.nan), (-5.0, -math.inf)]:
+        with pytest.raises(ValueError, match="levels must be finite"):
+            RadialSchedule(levels=levels)
+    with pytest.raises(ValueError, match="levels must be negative"):
+        RadialSchedule(levels=(5.0, -10.0))
+
+
+def test_geometric_schedule_checks_its_extreme_levels_first():
+    # past about 1075 levels the shallowest underflows to -0.0: rejected
+    # before the tuple is built, however many levels are asked for
+    with pytest.raises(ValueError, match="levels must be negative"):
+        RadialSchedule.geometric(-30.0, 10**12)
+    with pytest.raises(ValueError, match="at least two levels"):
+        RadialSchedule.geometric(-30.0, -10**12)
+    with pytest.raises(ValueError, match="levels must be finite"):
+        RadialSchedule.geometric(math.nan, 4)
+    with pytest.raises(ValueError, match="angular_nodes"):
+        RadialSchedule.geometric(-30.0, 4, 10)
 
 
 def test_geometric_schedule_builder():

@@ -72,6 +72,24 @@ def test_neg_pow_log_power_range():
         NegPowLog(1, F(0))
 
 
+def test_neg_pow_log_gives_the_grid_bits_at_a_point():
+    # numpy's scalar power and its array loop differ in the last bit for
+    # a few percent of these points; a 0-d point must take the array's bits
+    rng = np.random.default_rng(20)
+    t = -rng.uniform(0.0, 50.0, 5000)
+    powers = [F(1, 2), F(1, 3), F(2, 3), F(3, 4), F(9, 10)]
+    for k, p in enumerate(powers):
+        w = NegPowLog(1, p)
+        grid = torus_values(w, (t,), (0.0,))
+        points = [torus_values(w, (x,), (0.0,)) for x in t[k::len(powers)].tolist()]
+        assert all(np.shape(v) == () for v in points)
+        assert _same_bits(np.array(points), grid[k::len(powers)])
+        # eval_expr at |z1| = e^t reads the bits of the grid at its log|z1|
+        z = np.exp(t[k::len(powers)][:50]).tolist()
+        logs = np.array([math.log(x) for x in z])
+        assert _same_bits([eval_expr(w, (x,)) for x in z], torus_values(w, (logs,), (0.0,)))
+
+
 def test_scale_positive():
     with pytest.raises(ValueError):
         Scale(F(-1), CoordLog(1))
