@@ -25,6 +25,8 @@ from .numeric_oracle import RadialSchedule
 
 __all__ = ["ProblemFile", "Report", "parse_problem", "execute", "emit", "main"]
 
+MAX_EXPR_DEPTH = 100  # nodes on a root-to-leaf path of an expression; the weight walks recurse per node
+
 
 class ProblemError(ValueError):
     """Problem-file validation failure, with field context."""
@@ -147,9 +149,11 @@ def _parse_polylog(terms, dimension: int, where: str) -> weights.PolyLog:
         raise ProblemError(where, str(exc)) from None
 
 
-def _parse_expr(node, dimension: int, where: str):
+def _parse_expr(node, dimension: int, where: str, depth: int = 1):
     if not isinstance(node, dict):
         raise ProblemError(where, "expression node must be an object")
+    if depth > MAX_EXPR_DEPTH:
+        raise ProblemError(where, f"expression nested deeper than {MAX_EXPR_DEPTH} nodes")
     tag = node.get("node")
     try:
         if tag == "max":
@@ -158,14 +162,14 @@ def _parse_expr(node, dimension: int, where: str):
             if not isinstance(children, list) or not children:
                 raise ProblemError(f"{where}.children", "expected a nonempty list")
             return weights.MaxOf(
-                tuple(_parse_expr(c, dimension, f"{where}.children[{i}]") for i, c in enumerate(children))
+                tuple(_parse_expr(c, dimension, f"{where}.children[{i}]", depth + 1) for i, c in enumerate(children))
             )
         if tag == "scale":
             _require_keys(node, {"node", "factor", "child"}, where)
             factor = node.get("factor")
             wf = f"{where}.factor"
             f = _floatlike(factor, wf) if isinstance(factor, float) else _rational(factor, wf)
-            return weights.Scale(f, _parse_expr(node.get("child"), dimension, f"{where}.child"))
+            return weights.Scale(f, _parse_expr(node.get("child"), dimension, f"{where}.child", depth + 1))
         if tag == "neg_pow_log":
             _require_keys(node, {"node", "axis", "power"}, where)
             axis = _axis(node.get("axis"), dimension, f"{where}.axis")

@@ -22,7 +22,8 @@ diverges exactly when that form is nonnegative on a ray of the cone fan
 polyhedron).  The cone terms are summed in integers, with one rational
 per admissible alpha, and the cones are built once per call for all
 levels m.  Only the other weights, in one or two variables, are
-integrated numerically, on a per-axis shell decomposition; there a
+integrated numerically, on a per-axis shell decomposition, for every
+exponent at once: one log-sum-exp per axis over the node grid.  There a
 monomial is excluded when the shell contributions stop decaying (the
 integral diverges at the origin).
 """
@@ -226,70 +227,58 @@ def _cone_sum(setup, alpha) -> tuple[int, int] | None:
     return num, den
 
 
-def _radial_log_grid(shells: int, width: float, nodes: int):
-    """Gauss-Legendre nodes/weights on [-shells*width, 0], shell by shell."""
-    x, wq = np.polynomial.legendre.leggauss(nodes)
-    starts = -width * (np.arange(shells) + 1)
-    s = np.concatenate([(st + width * (x + 1.0) / 2.0) for st in starts])
-    wts = np.concatenate([np.full(nodes, 0.0) + wq * width / 2.0 for _ in starts])
-    shell_id = np.repeat(np.arange(shells), nodes)
-    return s, wts, shell_id
-
-
 def _quadrature_norms(u, m: int, degree_cap: int, n: int):
     """(alpha, c_alpha) for the admissible alpha, by per-axis shell quadrature.
 
     The log-radius of each axis runs over 48 shells of width 1 with 32
     Gauss-Legendre nodes in one variable, and over 36 shells with 16
-    nodes in two.  A monomial is excluded as divergent when the
-    shell-ring contributions fail to decay twice in a row while still
-    dominating the accumulated total.
+    nodes in two.  The integrand factors as prod_k e^((2 alpha_k + 2) s_k)
+    times e^(-2 m u(s)), so the log of its sum over the first S shells of
+    every axis is, for all exponents at once, one log-sum-exp over axis 1
+    for each (alpha_1, s_2), then one over axis 2 for each (alpha_1,
+    alpha_2); each slice is shifted by its own maximum, so no term that
+    matters underflows.  The sums are taken at S = all shells, 6 fewer and
+    12 fewer.  A monomial is excluded as divergent when the last 6 shells
+    still carry more than 1e-13 of the total and at least 0.9 times the 6
+    shells before them: the integrand fails to decay toward the origin.
+    Blocks of shells, rather than single shells, absorb the periodic
+    oscillation that rational-slope kinks of the weight imprint on the
+    shells.  The alpha_1 go through in chunks of about 2^16 terms (one at a
+    time in two variables), which keeps the arrays small.
     """
     shells, nodes = (48, 32) if n == 1 else (36, 16)
-    s, wts, shell_id = _radial_log_grid(shells, 1.0, nodes)
-    if n == 1:
-        t_axes, grid_w, ring = (s,), wts, shell_id
-    else:
-        t_axes = (s[:, None], s[None, :])
-        grid_w = wts[:, None] * wts[None, :]
-        ring = np.maximum(shell_id[:, None], shell_id[None, :])
-    chi = np.asarray(torus_values(u, t_axes, tuple(0.0 for _ in range(n))), dtype=float)
-    chi = np.broadcast_to(chi, grid_w.shape)
+    x, wq = np.polynomial.legendre.leggauss(nodes)
+    s = (-np.arange(1.0, shells + 1.0)[:, None] + (x + 1.0) / 2.0).ravel()
+    chi = torus_values(u, (s,) if n == 1 else (s[:, None], s[None, :]), (0.0,) * n)
+    minus_2mu = -2.0 * m * np.broadcast_to(np.asarray(chi, dtype=float), (len(s),) * n)
+    # log of w_i e^((2 alpha + 2) s_i) is log_w + powers * s, one row per alpha
+    log_w = np.log(np.tile(wq / 2.0, shells))
+    powers = 2.0 * np.arange(degree_cap + 1.0)[:, None] + 2.0
+    log_e2 = (log_w + powers * s).T if n == 2 else None  # [j, alpha_2], for the sums over axis 2
+    ends = [(shells - 12) * nodes, (shells - 6) * nodes, shells * nodes]
+    rows = max(1, (1 << 16) // minus_2mu.size)
+    parts = []
+    for lo in range(0, degree_cap + 1, rows):
+        # [i, alpha_1, (j)]; summed over the nodes i of axis 1 in blocks of
+        # shells, and the block sums then summed in running order
+        g = (log_w + powers[lo : lo + rows] * s).T.reshape(len(s), -1, *(1,) * (n - 1)) + minus_2mu[:, None]
+        part = np.logaddexp.accumulate([_log_sum_exp(b) for b in np.split(g, ends[:-1])])
+        if n == 2:
+            part = np.stack([_log_sum_exp(p.T[:end, :, None] + log_e2[:end, None]) for p, end in zip(part, ends)])
+        parts.append(part.reshape(3, -1))
+    l_12, l_6, l_all = np.concatenate(parts, axis=1)
+    last = -np.expm1(l_6 - l_all)
+    prev = np.exp(l_6 - l_all) - np.exp(l_12 - l_all)
+    keep = ~((last > 1e-13) & (last >= 0.9 * prev))
+    alphas = np.argwhere(keep.reshape((degree_cap + 1,) * n)).tolist()
+    norms = ((2.0 * math.pi) ** n * np.exp(l_all[keep])).tolist()
+    return list(zip(map(tuple, alphas), norms))
 
-    entries = []
-    for alpha in product(range(degree_cap + 1), repeat=n):
-        g = sum(
-            (2 * a + 2) * np.asarray(ax) for a, ax in zip(alpha, t_axes)
-        ) - 2.0 * m * chi
-        peak = float(np.max(g))  # shift before exp so divergent tails cannot overflow
-        scaled = grid_w * np.exp(g - peak)
-        rings = np.zeros(shells)
-        np.add.at(rings, np.broadcast_to(ring, scaled.shape).ravel(), scaled.ravel())
-        if _diverges(rings):
-            continue
-        c = (2.0 * math.pi) ** n * math.exp(peak) * float(rings.sum())
-        entries.append((alpha, c))
-    return entries
 
-
-def _diverges(rings: np.ndarray, block: int = 6) -> bool:
-    """True when the deepest shell contributions fail to decay.
-
-    A convergent norm integral has ring contributions that die off
-    geometrically toward the origin, so the last block of shells is a
-    small fraction of the block before it.  Blocks (rather than single
-    rings) absorb the periodic oscillation that rational-slope kinks of
-    the weight imprint on the shell decomposition; stagnation across
-    blocks, while the tail still matters for the total, marks the
-    integral as divergent.
-    """
-    if len(rings) < 2 * block:
-        block = max(1, len(rings) // 2)
-    last = float(rings[-block:].sum())
-    prev = float(rings[-2 * block : -block].sum())
-    total = float(rings.sum())
-    significant = last > 1e-13 * max(total, 1e-300)
-    return bool(significant and last >= 0.9 * prev)
+def _log_sum_exp(g: np.ndarray) -> np.ndarray:
+    """log sum of e^g over the leading axis, each slice shifted by its own maximum."""
+    peak, w = _peak_shift(g)
+    return peak + np.log(w.sum(axis=0))
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,8 @@ so a single call evaluates a whole quadrature grid.  Polynomial moduli
 and the Bergman approximants of `demailly` are both log-sum-exps over
 exponent rows, and share one kernel: `_log_rows` stacks the row
 log-amplitudes log|c_j| + <J_j, t> and `_peak_shift` scales them by
-their peak.
+their peak.  The shell-quadrature norms of `demailly` use `_peak_shift`
+too.
 """
 
 from __future__ import annotations

@@ -16,7 +16,11 @@ evaluates an indicator max_J <J, log|y|> pointwise in pure Python, apart
 from the numeric weight evaluation it checks.
 `sandwich_constants_per_point` fits the sandwich constants one point
 and one level at a time through `eval_expr`, the loop `sandwich_check`
-ran before its array pass.  `fraction_eliminate`,
+ran before its array pass.  `loop_quadrature_norms` is the shell
+quadrature of `demailly._quadrature_norms` as it ran before its
+log-sum-exp reductions: one exp over the whole node grid and one ring
+scatter per exponent, with the divergence rule read off the rings.
+`fraction_eliminate`,
 `fraction_double_description`, `fraction_triangulate` and
 `fraction_polytope_volume` are the polyhedral kernel as it was before it
 ran on integers: every entry goes through `Fraction`, and every simplex
@@ -33,10 +37,12 @@ from fractions import Fraction
 from itertools import combinations, product
 from typing import Sequence
 
+import numpy as np
+
 from lelong.demailly import basis_norms, um_eval
 from lelong.exactgeom import Vec, frac, vec
 from lelong.poly_geom import ExponentSet, _diagram, dominated_hull, sublevel_vertices
-from lelong.weights import CoordLog, MaxOf, NegPowLog, PolyLog, Scale, dimension_of, eval_expr
+from lelong.weights import CoordLog, MaxOf, NegPowLog, PolyLog, Scale, dimension_of, eval_expr, torus_values
 
 Constraint = tuple[Vec, Fraction]  # (a, b) encodes <a, x> <= b
 
@@ -260,6 +266,72 @@ def sandwich_constants_per_point(u, m_list, degree_cap=None, sample_points=None,
         c1_by_m[m] = c1
         c2_by_m[m] = math.exp(log_c2)
     return c1_by_m, c2_by_m
+
+
+def _radial_log_grid(shells: int, width: float, nodes: int):
+    """Gauss-Legendre nodes/weights on [-shells*width, 0], shell by shell."""
+    x, wq = np.polynomial.legendre.leggauss(nodes)
+    starts = -width * (np.arange(shells) + 1)
+    s = np.concatenate([(st + width * (x + 1.0) / 2.0) for st in starts])
+    wts = np.concatenate([np.full(nodes, 0.0) + wq * width / 2.0 for _ in starts])
+    shell_id = np.repeat(np.arange(shells), nodes)
+    return s, wts, shell_id
+
+
+def loop_quadrature_norms(u, m: int, degree_cap: int, n: int):
+    """(alpha, c_alpha) for the admissible alpha, by per-axis shell quadrature.
+
+    The log-radius of each axis runs over 48 shells of width 1 with 32
+    Gauss-Legendre nodes in one variable, and over 36 shells with 16
+    nodes in two.  A monomial is excluded as divergent when the
+    shell-ring contributions fail to decay twice in a row while still
+    dominating the accumulated total.
+    """
+    shells, nodes = (48, 32) if n == 1 else (36, 16)
+    s, wts, shell_id = _radial_log_grid(shells, 1.0, nodes)
+    if n == 1:
+        t_axes, grid_w, ring = (s,), wts, shell_id
+    else:
+        t_axes = (s[:, None], s[None, :])
+        grid_w = wts[:, None] * wts[None, :]
+        ring = np.maximum(shell_id[:, None], shell_id[None, :])
+    chi = np.asarray(torus_values(u, t_axes, tuple(0.0 for _ in range(n))), dtype=float)
+    chi = np.broadcast_to(chi, grid_w.shape)
+
+    entries = []
+    for alpha in product(range(degree_cap + 1), repeat=n):
+        g = sum(
+            (2 * a + 2) * np.asarray(ax) for a, ax in zip(alpha, t_axes)
+        ) - 2.0 * m * chi
+        peak = float(np.max(g))  # shift before exp so divergent tails cannot overflow
+        scaled = grid_w * np.exp(g - peak)
+        rings = np.zeros(shells)
+        np.add.at(rings, np.broadcast_to(ring, scaled.shape).ravel(), scaled.ravel())
+        if _diverges(rings):
+            continue
+        c = (2.0 * math.pi) ** n * math.exp(peak) * float(rings.sum())
+        entries.append((alpha, c))
+    return entries
+
+
+def _diverges(rings: np.ndarray, block: int = 6) -> bool:
+    """True when the deepest shell contributions fail to decay.
+
+    A convergent norm integral has ring contributions that die off
+    geometrically toward the origin, so the last block of shells is a
+    small fraction of the block before it.  Blocks (rather than single
+    rings) absorb the periodic oscillation that rational-slope kinks of
+    the weight imprint on the shell decomposition; stagnation across
+    blocks, while the tail still matters for the total, marks the
+    integral as divergent.
+    """
+    if len(rings) < 2 * block:
+        block = max(1, len(rings) // 2)
+    last = float(rings[-block:].sum())
+    prev = float(rings[-2 * block : -block].sum())
+    total = float(rings.sum())
+    significant = last > 1e-13 * max(total, 1e-300)
+    return bool(significant and last >= 0.9 * prev)
 
 
 # ---------------------------------------------------------------------------

@@ -9,8 +9,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from lelong.cli import (ProblemError, _flatten, _json, _round_floats, emit, execute, main, parse_problem,
-                        run_selftest)
+from lelong.cli import (MAX_EXPR_DEPTH, ProblemError, _flatten, _json, _round_floats, emit, execute, main,
+                        parse_problem, run_selftest)
 from lelong.numeric_oracle import RadialSchedule
 
 
@@ -357,6 +357,29 @@ def test_main_run_empty_m_list_is_a_task_error(tmp_path, capsys):
         assert task["status"] == "error"
         assert task["error"] == "ValueError: m_list must not be empty"
     assert control["status"] == "pass"
+
+
+def _chain(tag: str, depth: int) -> dict:
+    """A 1-D expression with `depth` nodes on its one path: max or scale nodes over coord_log."""
+    node = {"node": "coord_log", "axis": 1}
+    for _ in range(depth - 1):
+        node = {"node": "max", "children": [node]} if tag == "max" else {"node": "scale", "factor": 1, "child": node}
+    return {"dimension": 1, "objects": {"u": {"kind": "expr", "expr": node}},
+            "tasks": [{"op": "classical_lelong_numeric", "w": "u"},
+                      {"op": "sandwich_check", "u": "u", "m_list": [1, 2]},
+                      {"op": "scaling_transform", "w": "u", "m": 2}]}
+
+
+@pytest.mark.parametrize("tag", ["max", "scale"])
+def test_expression_depth_limit(tag):
+    # 360 nested max nodes used to parse and then end two tasks in a bare RecursionError
+    where = "objects.u.expr" + (".children[0]" if tag == "max" else ".child") * MAX_EXPR_DEPTH
+    assert _parse_error(_chain(tag, MAX_EXPR_DEPTH + 1)) == (
+        f"{where}: expression nested deeper than {MAX_EXPR_DEPTH} nodes")
+    classical, sandwich, transform = execute(parse_problem(_chain(tag, MAX_EXPR_DEPTH))).tasks
+    assert classical["status"] == "ok" and classical["result"]["value"] == pytest.approx(1.0, abs=1e-9)
+    assert sandwich["status"] == "pass"
+    assert transform["status"] == "ok"
 
 
 def test_report_names_the_file_by_its_base_name(tmp_path, capsys):

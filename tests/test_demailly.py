@@ -1,11 +1,13 @@
 import cmath
 import math
+import sys
+import time
 from fractions import Fraction as F
 from itertools import combinations, product
 
 import numpy as np
 import pytest
-from exact_oracles import sandwich_constants_per_point, solve
+from exact_oracles import loop_quadrature_norms, sandwich_constants_per_point, solve
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -216,6 +218,76 @@ def test_quadrature_path_for_weights_without_pl_form():
     assert admissible_alphas(B) == [(2,), (3,), (4,)]
     for (a,), c in B.entries:
         assert c == pytest.approx(2 * math.pi / (2 * a + 2 - 4), rel=1e-9)
+
+
+def _assert_matches_loop(u, m, cap, n):
+    """The log-sum-exp norms against the per-exponent loop: same admissible set, same norms."""
+    got = _quadrature_norms(u, m, cap, n)
+    want = loop_quadrature_norms(u, m, cap, n)
+    assert [a for a, _ in got] == [a for a, _ in want]
+    for (alpha, c), (_, ref) in zip(got, want):
+        if sys.float_info.min <= ref < math.inf:  # the loop's 0 or subnormal has no relative digits
+            assert c == pytest.approx(ref, rel=1e-12), alpha
+    return got
+
+
+def _quadrature_weights(n):
+    axis = st.integers(1, n)
+    leaves = st.one_of(
+        st.builds(NegPowLog, axis, st.sampled_from((F(1, 4), F(1, 3), F(1, 2), F(3, 4), F(1)))),
+        st.builds(CoordLog, axis),
+        st.builds(lambda c, J: PolyLog.of([(c, J)]), st.sampled_from((2, 0.5, 3j, -1.5, 0.5 + 0.5j)),
+                  st.tuples(*[st.integers(0, 3)] * n)),
+    )
+    return st.recursive(leaves, lambda kids: st.one_of(
+        st.builds(Scale, st.sampled_from((F(1, 2), F(3, 2), F(2), 0.75)), kids),
+        st.lists(kids, min_size=2, max_size=3).map(lambda c: MaxOf(tuple(c))),
+    ), max_leaves=4)
+
+
+@st.composite
+def _quadrature_cases(draw, n):
+    m = draw(st.integers(1, 16))
+    return draw(_quadrature_weights(n)), m, draw(st.integers(0, 2 * m + 2))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(case=_quadrature_cases(1))
+def test_quadrature_matches_the_loop_1d(case):
+    _assert_matches_loop(*case, 1)
+
+
+@settings(max_examples=12, deadline=None, derandomize=True)
+@given(case=_quadrature_cases(2))
+@example(case=(MaxOf.of(NegPowLog(1, F(1, 2)), CoordLog(2)), 2, 6))  # the flat weight
+@example(case=(PolyLog.of([(2, (0, 0))]), 3, 4))  # constant weight, all shells alike
+def test_quadrature_matches_the_loop_2d(case):
+    _assert_matches_loop(*case, 2)
+
+
+@pytest.mark.parametrize("m, cap", [(12, 26), (16, 34)])
+def test_quadrature_matches_the_loop_on_a_ridge(m, cap):
+    # -2 m u = min(2 m |s1|, 3 m |s2|) has a diagonal ridge, where a sum
+    # shifted by rows and columns rather than by slices underflows
+    _assert_matches_loop(MaxOf.of(NegPowLog(1, F(1)), Scale(F(3, 2), CoordLog(2))), m, cap, 2)
+
+
+@pytest.mark.parametrize("m, cap", [(8, 20), (32, 68)])
+def test_quadrature_steep_weight_closed_form(m, cap):
+    # -|log|z||: c_alpha = 2 pi / (2 alpha + 2 - 2 m), admissible from alpha = m;
+    # a single shift over the whole grid overflows here
+    entries = _assert_matches_loop(NegPowLog(1, F(1)), m, cap, 1)
+    assert [a for (a,), _ in entries] == list(range(m, cap + 1))
+    for (a,), c in entries:
+        assert c == pytest.approx(2 * math.pi / (2 * a + 2 - 2 * m), rel=1e-12)
+
+
+def test_sandwich_check_at_a_wide_cap_is_fast():
+    # the per-exponent loop spent 5-10 ms on each of these 2 * 41^2 exponents
+    start = time.perf_counter()
+    rep = sandwich_check(MaxOf.of(NegPowLog(1, F(1, 2)), CoordLog(2)), [1, 2], degree_cap=40, dim=2)
+    assert time.perf_counter() - start < 10.0
+    assert rep.passed
 
 
 def test_basis_admissibility_monotone_in_alpha():
