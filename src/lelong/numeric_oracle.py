@@ -7,10 +7,11 @@ weights, and measures the one-variable mass of a weight restricted to a
 coordinate hyperplane.  Every mean is taken by one row routine, `_rows`:
 a row is one torus, given by its log-radii, and each probe passes all
 rows of its schedule at once (directional: one per level; swept: levels
-x atoms; classical: levels x radial nodes; slice: one per level, with
-one angle axis).  The rows take closed forms where they hold, in one pass
-per 64 rows, and the others share one chunked grid, `_grid_rows`.
-MAX_GRID_POINTS bounds the nominal grid of each mean, not the batch.
+x atoms; classical: levels x radial nodes; slice: one circle per level,
+whose closed forms are those of the restriction).  The rows take closed
+forms where they hold, in one pass per 64 rows, and the others share one
+chunked grid, `_grid_rows`.  MAX_GRID_POINTS bounds the nominal grid of
+each mean, not the batch.
 
 A torus mean of a bare or scaled `PolyLog` needs no grid where one of
 two closed forms holds (`_closed_mean`).  Where one term of a
@@ -23,7 +24,10 @@ q (`_line_mean`).  Both accept a point only where the clip floor clips
 no node of its torus or every node, and the line form only where no
 root of q lies within a relative 1e-6 of its circle; lines of degree
 above _MAX_LINE_DEGREE keep the grid.  A sphere level is the mean of
-its radial rows, closed or not.
+its radial rows, closed or not.  A slice level takes the same closed
+forms, with the same rules, on the restriction of a bare or scaled
+`PolyLog` to its hyperplane, a univariate polynomial.  The Richardson
+fit is a closed-form least-squares line with no LAPACK call.
 
 Determinism contract: fixed node grids and an exact sum, so identical
 inputs produce bitwise-identical outputs.  A grid is evaluated in chunks,
@@ -35,10 +39,10 @@ math.fsum of its values.  A closed-form torus mean is returned as it
 is.  The per-point sums of the closed forms add the terms in the order
 of a one-point sum, so a batch of rows gives each row the bits of that
 row alone.  No mean depends on the batch, the chunking, the thread count
-or the order in which chunks finish.  The roots of the
-line form come from LAPACK through numpy.roots, which gives identical
-bits for identical inputs on one numpy build; they are cached per
-term tuple.
+or the order in which chunks finish.  The roots of the line form come
+from LAPACK through numpy.roots, the one LAPACK call on the report path,
+which gives identical bits for identical inputs on one numpy build; they
+are cached per term tuple.
 """
 
 from __future__ import annotations
@@ -261,6 +265,8 @@ def _repeat_parts(values: np.ndarray, count: int) -> list[float]:
     has at most 26 significant bits and lo = value - hi at most 27, so
     both products with count are exact.
     """
+    if count > 2**26:
+        raise ValueError(f"a repeat count of {count} exceeds the exact limit of {2**26}")
     hi = (values.view(np.uint64) & ~np.uint64(2**27 - 1)).view(np.float64)
     return (hi * count).tolist() + ((values - hi) * count).tolist()
 
@@ -498,31 +504,46 @@ def _closed_mean(w, t, floor: float):
     return means
 
 
+def _restriction(w, angles: Sequence[int], n: int):
+    """w at t_k = -inf off the angle axes: a PolyLog over them in w's scale chain, or None."""
+    if isinstance(w, Scale):
+        child = _restriction(w.child, angles, n)
+        return None if child is None else Scale(w.factor, child)
+    if not isinstance(w, PolyLog) or len(w.terms[0][1]) > n:
+        return None
+    pad = (0,) * (n - len(w.terms[0][1]))
+    terms = tuple((c, tuple((J + pad)[k] for k in angles)) for c, J in w.terms
+                  if not any(j for k, j in enumerate(J) if k not in angles))
+    return PolyLog(terms) if terms else None
+
+
 def _rows(w, t, nodes: int, angles: Sequence[int] | None = None):
     """Lists (means, clipped, parts) over the tori of R rows of log-radii.
 
     t holds one array of R log-radii per axis; angles are the axes with
     node angles (all by default, one for a slice), so a row has size =
-    nodes**len(angles) nodes.  Over all axes, one decision per
-    _BLOCK_ROWS rows takes the closed rows: one `torus_values` call at
-    one node per row for a theta-independent weight, else one
-    `_closed_mean` pass.  A closed mean is clipped at CLIP_FLOOR (all
-    nodes or none) and its parts are None.  The other rows share one
-    `_grid_rows` grid; each mean is the fsum of the row's parts over
-    size.  The cap applies to size wherever a grid may be built.
+    nodes**len(angles) nodes; the other axes are at -inf.  One decision
+    per _BLOCK_ROWS rows takes the closed rows: one `torus_values` call
+    at one node per row for a theta-independent weight, else one
+    `_closed_mean` pass over the angle axes on the `_restriction` of w.
+    A closed mean is clipped at CLIP_FLOOR (all nodes or none) and its
+    parts are None.  The other rows share one `_grid_rows` grid of w;
+    each mean is the fsum of the row's parts over size.  The cap applies
+    to size wherever a grid may be built.
     """
     n = len(t)
     angles = range(n) if angles is None else angles
     full = len(angles) == n
     t = [np.asarray(x, dtype=float) for x in t]
     size = nodes ** len(angles)
+    closed_w = w if full else _restriction(w, angles, n)
     constant = full and not depends_on_theta(w)
     if not constant:
         _check_grid(size)
     means = np.full(t[0].shape, np.nan)
-    for i in range(0, means.size if full else 0, _BLOCK_ROWS):
-        block = [x[i:i + _BLOCK_ROWS] for x in t]
-        closed = torus_values(w, block, (0.0,) * n) if constant else _closed_mean(w, block, CLIP_FLOOR)
+    for i in range(0, means.size if closed_w is not None else 0, _BLOCK_ROWS):
+        block = [t[k][i:i + _BLOCK_ROWS] for k in angles]
+        closed = torus_values(w, block, (0.0,) * n) if constant else _closed_mean(closed_w, block, CLIP_FLOOR)
         if closed is not None:
             means[i:i + _BLOCK_ROWS] = closed
     grid = np.zeros(means.shape, dtype=bool) if constant else np.isnan(means)
@@ -554,7 +575,7 @@ def torus_mean(w, t: Sequence[float], nodes: int) -> float:
     tolerances at 64+ nodes per angle.  The grid cap applies to the
     nominal nodes**n grid either way.
     """
-    if any(x >= 0 for x in t):
+    if not all(x < 0 for x in t):  # -inf restricts to a coordinate hyperplane; NaN fails too
         raise ValueError("torus radii must satisfy t_k < 0")
     if nodes < 64:
         raise ValueError("nodes must be at least 64")
@@ -613,21 +634,28 @@ def sphere_mean(w, r: float, nodes: int, dim: int, radial_nodes: int | None = No
     a closed form of `torus_mean` where one holds, and the others one
     grid, with the cap on the nominal grid.
     """
+    if not math.isfinite(r):
+        raise ValueError("radius exponent must be finite")
     if r >= 0:
         raise ValueError("radius exponent must be negative")
     return _sphere_levels(w, (r,), nodes, dim, radial_nodes)[0][0]
 
 
 def _extrapolate(levels: list[float], ys: list[float], mode: str):
+    """(value, stderr) of the level ratios ys; stderr is |y_last - y_prev|.
+
+    Richardson: the intercept of the closed-form least-squares line of ys
+    against x = 1/r over the last k <= 3 levels (slope 0 if the x coincide).
+    """
     if mode == "last_level":
         value = ys[-1]
     else:
-        k = min(3, len(ys))
-        xs = np.array([1.0 / r for r in levels[-k:]])
-        yv = np.array(ys[-k:])
-        design = np.vstack([np.ones(k), xs]).T
-        coef, *_ = np.linalg.lstsq(design, yv, rcond=None)
-        value = float(coef[0])
+        xs, yv = [1.0 / r for r in levels[-3:]], ys[-3:]
+        x_bar, y_bar = math.fsum(xs) / len(xs), math.fsum(yv) / len(yv)
+        dx = [x - x_bar for x in xs]
+        sxx = math.fsum(d * d for d in dx)
+        b = math.fsum(d * (y - y_bar) for d, y in zip(dx, yv)) / sxx if sxx else 0.0
+        value = y_bar - b * x_bar
     stderr = abs(ys[-1] - ys[-2]) if len(ys) >= 2 else 0.0
     return value, stderr
 
@@ -676,6 +704,8 @@ def directional_lelong_numeric(w, a: Sequence[float], sched: RadialSchedule = DE
             dim = 0
     if len(av) < dim or exact and len(av) != dim:
         raise ValueError("direction dimension mismatch")
+    if not all(math.isfinite(x) for x in av):
+        raise ValueError("direction must be finite")
     if any(x <= 0 for x in av):
         raise ValueError("direction must be strictly positive")
     means, clipped, _ = _rows(w, [np.multiply(sched.levels, x) for x in av], sched.angular_nodes)
@@ -744,6 +774,8 @@ def swept_measure_apply(S_phi: ExponentSet, w, r: float, nodes: int) -> float:
     n! times the atom-mass-weighted sum of torus means of w at radii
     |r| * t0 for the atoms t0 of the weight's boundary measure.
     """
+    if not math.isfinite(r):
+        raise ValueError("level must be finite")
     if r >= 0:
         raise ValueError("level must be negative")
     return _swept_levels(gamma_measure(S_phi), w, (r,), nodes)[0][0]

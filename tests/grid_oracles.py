@@ -132,6 +132,11 @@ def slice_mean_ref(w: PolyLog, axis: int, r: float, nodes: int) -> float:
     return fsum_mean(polylog_values_exp(w, t, theta), (nodes,))
 
 
+def slice_restriction(w: PolyLog, axis: int) -> PolyLog:
+    """The 1-D PolyLog of a 2-D w on {z_axis = 0}, in the other variable."""
+    return PolyLog(tuple((c, (J[2 - axis],)) for c, J in w.terms if J[axis - 1] == 0))
+
+
 def sphere_profiles(n: int, radial_nodes: int) -> list[np.ndarray]:
     """The library's radial log-moduli of the sphere, shaped (rows, 1, ..., 1) for n angle axes."""
     return [p.reshape((-1,) + (1,) * n) for p in numeric_oracle._equal_area_log_profiles(n, radial_nodes)]

@@ -532,6 +532,22 @@ def test_every_op_matches_golden_report(fmt, suffix, capsys):
     assert capsys.readouterr().out.encode() == (GOLDEN / f"ops_report.{suffix}").read_bytes()
 
 
+def test_golden_report_calls_no_least_squares(monkeypatch, capsys):
+    # the Richardson fit is a closed-form line: with LAPACK's least squares
+    # and SVD gone, every op still gives the golden bytes (numpy.roots, in
+    # the rank-one closed form, is the one LAPACK call left)
+    import numpy as np
+
+    def gone(*args, **kwargs):
+        raise AssertionError("LAPACK least squares called")
+
+    for name in ("lstsq", "svd"):
+        monkeypatch.setattr(np.linalg, name, gone)
+    args = ["run", str(OPS_PROBLEM), "--nodes", "64", "--levels", "3", "--rmin", "-20", "--format", "json"]
+    assert main(args) == 1
+    assert capsys.readouterr().out.encode() == (GOLDEN / "ops_report.json").read_bytes()
+
+
 def _parse_error(problem: dict) -> str:
     with pytest.raises(ProblemError) as info:
         parse_problem(problem)

@@ -103,6 +103,18 @@ def test_bucket_sums_keep_rows_apart():
     assert _exact_parts(np.zeros((2, 0))) == [[], []]
 
 
+def test_repeat_parts_are_exact_up_to_two_to_the_26():
+    # each value times the count, rounded once, for counts up to 2^26; a
+    # larger count could round the products, so it raises
+    rng = random.Random(26)
+    values = np.array([rng.uniform(-1e6, 1e6) for _ in range(50)] + [CLIP_FLOOR, 5e-324, -0.0])
+    for count in (1, 3, 4096 * 7 + 1, 2**26 - 1, 2**26):
+        for v in values.tolist():
+            assert math.fsum(numeric_oracle._repeat_parts(np.array([v]), count)) == float(F(v) * count)
+    with pytest.raises(ValueError, match="exceeds the exact limit"):
+        numeric_oracle._repeat_parts(values, 2**26 + 1)
+
+
 # ---------------------------------------------------------------------------
 # chunk invariance
 
@@ -112,6 +124,8 @@ W3 = PolyLog.of([(1, (2, 1, 1)), (1j, (1, 3, 1)), (-0.5, (1, 1, 2)), (0.7, (3, 1
 TREE = MaxOf.of(W2, Scale(F(3, 2), CoordLog(1)))
 SCHED = RadialSchedule(levels=(-5.0, -10.0, -20.0), angular_nodes=64)
 SLICE_W = PolyLog.of([(1, (0, 2)), (-0.25, (1, 1)), (2, (0, 5))])
+# a slice of a PolyLog takes the closed forms of its restriction; a max tree keeps the grid
+SLICE_TREE = MaxOf.of(SLICE_W, Scale(F(3, 2), CoordLog(2)))
 
 
 torus_grid = grid_oracles.torus_grid
@@ -145,8 +159,8 @@ CHUNK_CASES = {
     "sphere tree": (lambda: [sphere_mean(TREE, -30.0, 64, 2)], (64, 64, 64)),
     "sphere moduli only": (lambda: [sphere_mean(Scale(F(3), CoordLog(2)), -3.0, 64, 2)], (64, 1, 1)),
     "sphere 3-D": (lambda: [sphere_mean(W3, -2.0, 16, 3, radial_nodes=4)], (4, 4, 16, 16, 16)),
-    # every level of a slice is a row of one grid
-    "slice": (lambda: [lv["mean"] for lv in slice_lelong(SLICE_W, 1, SCHED).diagnostics["levels"]],
+    # every level of a max-tree slice is a row of one grid
+    "slice": (lambda: [lv["mean"] for lv in slice_lelong(SLICE_TREE, 1, SCHED).diagnostics["levels"]],
               (64,)),
     "directional mixed levels": (lambda: [m for m, _ in directional_rows(W2, (1.5, 1.0), MIXED_LEVELS)],
                                  (2, 64, 64)),
@@ -235,9 +249,9 @@ WORKER_CASES = {
     "sphere mixed rows": (lambda: numeric_oracle._sphere_levels(W2, (-3.0,), 64, 2, 16), 2 * 64**2),
     "sphere 3-D": (lambda: numeric_oracle._sphere_levels(W3, (-2.0,), 16, 3, 4), 4**2 * 16**3),
     "sphere clipped": (lambda: numeric_oracle._sphere_levels(CLIPPING, (-1.0,), 64, 2, 16), 16 * 64**2),
-    # the three levels of a slice are rows of one grid, each cut into chunks
+    # the three levels of a max-tree slice are rows of one grid, each cut into chunks
     "slice": (lambda: [(lv["mean"], lv["clipped"], lv["nodes"])
-                       for lv in slice_lelong(SLICE_W, 1, SCHED).diagnostics["levels"]], 64),
+                       for lv in slice_lelong(SLICE_TREE, 1, SCHED).diagnostics["levels"]], 64),
     # one atom of each kind: dominance, rank-one and grid rows
     "swept mixed rows": (lambda: numeric_oracle._swept_levels(SWEPT_GM, SWEPT_W, (-1.5,), 64), 64**2),
     # batched sweeps: levels or atoms of each kind share one grid
@@ -440,6 +454,32 @@ def test_slice_means_match_reference():
         for lv in est.diagnostics["levels"]:
             want = grid_oracles.slice_mean_ref(w, 1, lv["r"], SCHED.angular_nodes)
             assert lv["mean"] == pytest.approx(want, abs=1e-12)
+
+
+@pytest.mark.parametrize("scale", [None, (F(3, 2),), (0.25, F(3))], ids=["bare", "scaled", "nested scales"])
+def test_closed_slices_match_reference_and_the_restriction(scale):
+    # a slice level of a PolyLog is the closed form of its restriction: the
+    # whole-circle reference within 1e-12, and the bits of torus_mean of
+    # the 1-D restriction (of two terms or more, which takes no shortcut
+    # for theta-free weights)
+    def scaled(w):
+        for f in reversed(scale or ()):
+            w = Scale(f, w)
+        return w
+
+    factor = math.prod(float(f) for f in scale or ())
+    rng = random.Random(17)
+    for axis in (1, 2):
+        for _ in range(6):
+            w = _random_polylog(rng, 2, rng.randint(2, 5))
+            free = [J for J in ((0, 1), (0, 4)) if axis == 1] or [(1, 0), (4, 0)]
+            w = PolyLog.of([*((c, J) for c, J in w.terms if J not in free), (1.5, free[0]), (-0.5j, free[1])])
+            w1 = grid_oracles.slice_restriction(w, axis)
+            for lv in slice_lelong(scaled(w), axis, SCHED).diagnostics["levels"]:
+                assert np.isfinite(numeric_oracle._closed_mean(w1, [[lv["r"]]], CLIP_FLOOR)).all()
+                want = grid_oracles.slice_mean_ref(w, axis, lv["r"], SCHED.angular_nodes)
+                assert lv["mean"] == pytest.approx(factor * want, abs=1e-12)
+                assert same_float(lv["mean"], torus_mean(scaled(w1), (lv["r"],), SCHED.angular_nodes))
 
 
 # ---------------------------------------------------------------------------

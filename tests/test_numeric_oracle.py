@@ -15,7 +15,9 @@ from lelong.numeric_oracle import (
     directional_lelong_numeric,
     generalized_lelong_numeric,
     indicator_profile,
+    _extrapolate,
     slice_lelong,
+    sphere_mean,
     swept_measure_apply,
     torus_mean,
 )
@@ -69,6 +71,17 @@ def test_torus_mean_validation():
         torus_mean(CoordLog(1), (-1.0, -1.0), 32)
 
 
+NAN, INF = math.nan, math.inf
+
+
+def test_torus_mean_rejects_nan_radii():
+    w = PolyLog.of([(1, (1, 0)), (1, (0, 1))])
+    with pytest.raises(ValueError, match="t_k < 0"):
+        torus_mean(w, (NAN, -1.0), 64)
+    # -inf restricts to the hyperplane z1 = 0, where the mean is log|z2|
+    assert torus_mean(w, (-INF, -1.0), 64) == -1.0
+
+
 def test_torus_mean_deterministic():
     w = PolyLog.of([(1, (2, 0)), (1j, (0, 3)), (-0.5, (1, 1))])
     a = torus_mean(w, (-2.0, -3.0), 256)
@@ -120,6 +133,13 @@ def test_directional_vs_exact_random_instances():
 def test_directional_rejects_bad_direction():
     with pytest.raises(ValueError, match="positive"):
         directional_lelong_numeric(CoordLog(1), (1.0, 0.0), FAST)
+
+
+def test_directional_rejects_non_finite_directions():
+    w = PolyLog.of([(1, (2, 0)), (1, (0, 3))])
+    for a in [(INF, 1.0), (1.0, NAN), (-INF, 1.0)]:
+        with pytest.raises(ValueError, match="^direction must be finite$"):
+            directional_lelong_numeric(w, a, FAST)
 
 
 def test_directional_direction_length_without_dim():
@@ -225,6 +245,13 @@ def test_classical_rejects_high_dimension():
         classical_lelong_numeric(CoordLog(1), FAST, dim=4)
 
 
+def test_sphere_mean_rejects_non_finite_radii():
+    w = PolyLog.of([(1, (1, 0)), (1, (0, 1))])
+    for r in (-INF, NAN, INF):
+        with pytest.raises(ValueError, match="^radius exponent must be finite$"):
+            sphere_mean(w, r, 64, 2)
+
+
 def test_oversized_sphere_grid_fails_before_allocating():
     # 16^2 * 256^3 points: a 64 GiB complex128 array without the limit;
     # test_classical_dimension_three builds 8^2 * 64^3, exactly the limit
@@ -254,6 +281,85 @@ def test_oversized_torus_and_slice_grids_fail():
                   lambda: classical_lelong_numeric(h3, huge, dim=2)):
         with pytest.raises(ValueError, match="exceeds the limit"):
             probe()
+
+
+# ---------------------------------------------------------------------------
+# the Richardson fit
+
+
+RICHARDSON = "richardson_linear_in_1/r"
+
+
+def lstsq_intercept(levels, ys) -> float:
+    """The intercept of the line over the last three levels by LAPACK's least squares."""
+    xs = np.array([1.0 / r for r in levels[-3:]])
+    coef, *_ = np.linalg.lstsq(np.vstack([np.ones(xs.size), xs]).T, np.array(ys[-3:]), rcond=None)
+    return float(coef[0])
+
+
+def exact_fit(levels, ys) -> tuple[F, F]:
+    """(intercept, slope) of the least-squares line over the last three levels, in rationals."""
+    xs, yv = [F(1.0 / r) for r in levels[-3:]], [F(y) for y in ys[-3:]]
+    x_bar, y_bar = sum(xs) / len(xs), sum(yv) / len(yv)
+    b = sum((x - x_bar) * (y - y_bar) for x, y in zip(xs, yv)) / sum((x - x_bar) ** 2 for x in xs)
+    return y_bar - b * x_bar, b
+
+
+def random_sweep(rng: random.Random, spread: tuple[float, float]):
+    """2 to 5 decreasing levels, each spread times the one before, and ratios nu + m / r + noise."""
+    r, levels = -rng.uniform(0.1, 10.0), []
+    for _ in range(rng.randint(2, 5)):
+        levels.append(r)
+        r *= rng.uniform(*spread)
+    nu, m, noise = rng.uniform(-5, 5), rng.uniform(-5, 5), rng.choice([0.0, 1e-3, 1.0])
+    return levels, [nu + m / r + noise * rng.uniform(-1, 1) for r in levels]
+
+
+def fit_ulp(levels, ys) -> float:
+    """One ulp of the largest of the terms y and b * mean(x) that the intercept is made of."""
+    xs = [1.0 / r for r in levels[-3:]]
+    b = float(exact_fit(levels, ys)[1])
+    return math.ulp(max(*(abs(y) for y in ys[-3:]), abs(b * sum(xs) / len(xs))))
+
+
+def test_fit_matches_lstsq():
+    # on levels spread like a schedule's; LAPACK's SVD is the less exact of
+    # the two (up to 10 ulps from the rational fit, the closed form 4)
+    rng = random.Random(23)
+    for _ in range(500):
+        levels, ys = random_sweep(rng, (1.5, 4.0))
+        value, _ = _extrapolate(levels, ys, RICHARDSON)
+        assert abs(value - lstsq_intercept(levels, ys)) <= 16 * fit_ulp(levels, ys)
+
+
+def test_fit_is_the_rational_fit_within_four_ulps():
+    # also on levels 1% to 10% apart, where lstsq drifts by hundreds of ulps
+    rng = random.Random(29)
+    for spread in ((1.5, 4.0), (1.01, 1.1)):
+        for _ in range(500):
+            levels, ys = random_sweep(rng, spread)
+            value, _ = _extrapolate(levels, ys, RICHARDSON)
+            assert abs(value - float(exact_fit(levels, ys)[0])) <= 4 * fit_ulp(levels, ys)
+
+
+def test_fit_is_exact_on_collinear_dyadic_data():
+    # dyadic x = 1/r with exact means: two levels, or three x in arithmetic
+    # progression (-3/4, -1/2, -1/4)
+    for levels in ((-2.0, -4.0), (-4 / 3, -2.0, -4.0), (-1.0, -4 / 3, -2.0, -4.0)):
+        ys = [1.375 - 0.625 / r for r in levels]
+        value, stderr = _extrapolate(list(levels), ys, RICHARDSON)
+        assert value == 1.375
+        assert stderr == abs(ys[-1] - ys[-2])
+    # levels whose 1/r coincide in floating point leave the slope at 0
+    levels = [-1e308, -1.0000000000000002e308]
+    assert 1 / levels[0] == 1 / levels[1]
+    assert _extrapolate(levels, [1.0, 2.0], RICHARDSON)[0] == 1.5
+
+
+def test_fit_of_a_rank_one_initial_form_is_its_exact_density():
+    # 3 z1^2 + z2^3 + z1^2 z2^2 along (3, 2): nu = min(6, 6, 10) = 6
+    w = PolyLog.of([(3, (2, 0)), (1, (0, 3)), (1, (2, 2))])
+    assert directional_lelong_numeric(w, (3.0, 2.0)).value == pytest.approx(6.0, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -287,6 +393,13 @@ def test_swept_ratio_converges_to_exact():
         r = -30.0
         ratio = swept_measure_apply(S_phi, w, r, 256) / r
         assert abs(ratio - exact) <= 0.02 * max(exact, 1e-9)
+
+
+def test_swept_measure_rejects_non_finite_levels():
+    w = PolyLog.of([(1, (2, 0)), (1, (0, 3))])
+    for r in (NAN, -INF, INF):
+        with pytest.raises(ValueError, match="^level must be finite$"):
+            swept_measure_apply(es((1, 0), (0, 1)), w, r, 64)
 
 
 def test_swept_rejects_wall_atoms():

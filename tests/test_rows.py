@@ -155,16 +155,22 @@ def test_swept_levels_match_the_one_level_path(gm, w):
 
 
 def test_slice_levels_match_the_one_level_path():
+    # a slice level is the torus mean of the restriction on its circle:
+    # the closed form where one holds, else a grid of one row
     rng = random.Random(8)
     sched = RadialSchedule(levels=LEVELS[1:], angular_nodes=64)
+    seen = []
     for axis in (1, 2):
         for _ in range(4):
             w = random_polylog(rng, 2, rng.randint(2, 6), 4)
             free = (0, 3) if axis == 1 else (3, 0)  # a term free of z_axis
             w = PolyLog.of([*((c, J) for c, J in w.terms if J != free), (1.5, free)])
+            w1 = grid_oracles.slice_restriction(w, axis)
             for lv in slice_lelong(w, axis, sched).diagnostics["levels"]:
-                want = grid_oracles.slice_stats(w, axis, lv["r"], 64)
+                want = grid_oracles.torus_stats(w1, (lv["r"],), 64)
                 assert same((lv["mean"], lv["clipped"], lv["nodes"]), want)
+                seen += kinds(w1, [[lv["r"]]])
+    assert {"dominant", "line"} <= set(seen)
 
 
 def test_one_closed_pass_and_one_grid_per_sweep(monkeypatch):
@@ -188,10 +194,11 @@ def test_one_closed_pass_and_one_grid_per_sweep(monkeypatch):
                                      PolyLog.of([(1, (2, 0)), (4, (1, 1)), (3, (0, 2))]), sched)
     assert calls == ["_closed_mean", "_grid_rows"]
     assert len(est.diagnostics["levels"]) == 4
-    # a slice takes no closed form: one grid of one row per level
+    # a slice takes the closed forms of its restriction in one pass (a max
+    # tree one grid: test_a_max_tree_slice_keeps_one_grid)
     calls.clear()
     slice_lelong(PolyLog.of([(1, (0, 2)), (-0.25, (1, 1)), (2, (0, 5))]), 1, sched)
-    assert calls == ["_grid_rows"]
+    assert calls == ["_closed_mean"]
     # sphere levels, and the directional probe at (1, 1) that comes with them
     calls.clear()
     classical_lelong_numeric(W2, RadialSchedule(levels=(-0.5, -1.0, -2.0, -4.0), angular_nodes=64), dim=2,
@@ -219,3 +226,63 @@ def test_long_batches_take_the_closed_forms_in_blocks(monkeypatch):
     assert {"dominant", "grid"} <= set(kinds(w, t))
     for row, got in zip(zip(*t), zip(means, clipped, [64**2] * 150)):
         assert same(got, grid_oracles.torus_stats(w, row, 64))
+
+
+def grid_shapes(monkeypatch) -> list:
+    """The shapes that `_grid_rows` is called with from now on."""
+    shapes = []
+
+    def counted(w, t, theta, shape, floor, _real=numeric_oracle._grid_rows):
+        shapes.append(shape)
+        return _real(w, t, theta, shape, floor)
+
+    monkeypatch.setattr(numeric_oracle, "_grid_rows", counted)
+    return shapes
+
+
+# on {z1 = 0}: z2 (1 + e^2 z2), whose root -e^-2 lies on the circle of the
+# level -2; shallower levels take Jensen's formula, deeper ones the
+# dominant term
+ROOT_W = PolyLog.of([(1, (0, 1)), (math.exp(2.0), (0, 2)), (3, (1, 1))])
+
+
+@pytest.mark.parametrize("w, levels, kind", [
+    (ROOT_W, (-1.0, -2.0, -4.0, -8.0), ["line", "grid", "dominant", "dominant"]),
+    # 500000 times that, 1e-4 off the root: the floor clips 22 of the 64 nodes
+    (Scale(F(500000), ROOT_W), (-0.5, -1.0, -1.9999), ["line", "line", "grid"]),
+], ids=["root on the circle", "floor through the circle"])
+def test_only_the_levels_without_a_closed_form_take_the_grid(monkeypatch, w, levels, kind):
+    w1 = numeric_oracle._restriction(w, (1,), 2)
+    assert kinds(w1, [list(levels)]) == kind
+    grids = grid_shapes(monkeypatch)
+    sched = RadialSchedule(levels=levels, angular_nodes=64)
+    got = slice_lelong(w, 1, sched).diagnostics["levels"]
+    assert grids == [(1, 64)]
+    for lv, k in zip(got, kind):
+        want = (grid_oracles.slice_stats(w, 1, lv["r"], 64) if k == "grid"
+                else grid_oracles.torus_stats(w1, (lv["r"],), 64))
+        assert same((lv["mean"], lv["clipped"], lv["nodes"]), want)
+    if isinstance(w, Scale):
+        assert 0 < got[-1]["clipped"] < 64
+
+
+def test_an_empty_restriction_is_undefined():
+    # no term is free of z1, so the restriction to z1 = 0 is identically -inf
+    w = PolyLog.of([(1, (1, 0)), (2, (1, 3)), (-1j, (2, 1))])
+    assert numeric_oracle._restriction(w, (1,), 2) is None
+    for v in (w, Scale(F(3, 2), w)):
+        with pytest.raises(numeric_oracle.SliceUndefinedError) as info:
+            slice_lelong(v, 1, RadialSchedule(levels=LEVELS[1:], angular_nodes=64))
+        assert str(info.value) == "slice undefined: restriction to z_1 = 0 is identically -inf"
+
+
+def test_a_max_tree_slice_keeps_one_grid(monkeypatch):
+    tree = MaxOf.of(W2, Scale(F(3, 2), CoordLog(2)))
+    grids = grid_shapes(monkeypatch)
+    sched = RadialSchedule(levels=LEVELS[1:], angular_nodes=64)
+    for axis in (1, 2):
+        grids.clear()
+        for lv in slice_lelong(tree, axis, sched).diagnostics["levels"]:
+            want = grid_oracles.slice_stats(tree, axis, lv["r"], 64)
+            assert same((lv["mean"], lv["clipped"], lv["nodes"]), want)
+        assert grids == [(len(sched.levels), 64)]
