@@ -579,7 +579,18 @@ def torus_mean(w, t: Sequence[float], nodes: int) -> float:
         raise ValueError("torus radii must satisfy t_k < 0")
     if nodes < 64:
         raise ValueError("nodes must be at least 64")
+    _check_variables(w, len(t), "the number of torus radii")
     return _rows(w, [[x] for x in t], nodes)[0][0]
+
+
+def _check_variables(w, count: int, what: str) -> None:
+    """ValueError, naming both counts, when w references more coordinates than an entry point's count."""
+    try:
+        need = dimension_of(w)
+    except TypeError:  # an evaluable object of no weight type is taken as it is
+        return
+    if need > count:
+        raise ValueError(f"weight references {need} coordinates but {what} is {count}")
 
 
 def _equal_area_log_profiles(n: int, radial_nodes: int) -> list[np.ndarray]:
@@ -638,6 +649,7 @@ def sphere_mean(w, r: float, nodes: int, dim: int, radial_nodes: int | None = No
         raise ValueError("radius exponent must be finite")
     if r >= 0:
         raise ValueError("radius exponent must be negative")
+    _check_variables(w, dim, "the sphere dimension")
     return _sphere_levels(w, (r,), nodes, dim, radial_nodes)[0][0]
 
 
@@ -803,6 +815,7 @@ def slice_lelong(w, axis: int, sched: RadialSchedule = DEFAULT_SCHEDULE, dim: in
         raise ValueError("slice estimates are implemented for dimension 2 only")
     if axis not in (1, 2):
         raise ValueError("axis must be 1 or 2")
+    _check_variables(w, dim, "the slice dimension")
     other = 2 - axis  # 0-based index of the surviving variable
     t = [np.full(len(sched.levels), -np.inf)] * 2
     t[other] = np.array(sched.levels, dtype=float)

@@ -20,6 +20,9 @@ ran before its array pass.  `loop_quadrature_norms` is the shell
 quadrature of `demailly._quadrature_norms` as it ran before its
 log-sum-exp reductions: one exp over the whole node grid and one ring
 scatter per exponent, with the divergence rule read off the rings.
+`loop_exact_norms` is the integer cone sum of `demailly._exact_norms` as
+it ran before its array pass: one exponent at a time, in Python ints,
+with a `Fraction` <J, v> per ray at every level m.
 `fraction_eliminate`,
 `fraction_double_description`, `fraction_triangulate` and
 `fraction_polytope_volume` are the polyhedral kernel as it was before it
@@ -40,7 +43,7 @@ from typing import Sequence
 import numpy as np
 
 from lelong.demailly import basis_norms, um_eval
-from lelong.exactgeom import Vec, frac, vec
+from lelong.exactgeom import Vec, dot, frac, vec
 from lelong.poly_geom import ExponentSet, _diagram, dominated_hull, sublevel_vertices
 from lelong.weights import CoordLog, MaxOf, NegPowLog, PolyLog, Scale, dimension_of, eval_expr, torus_values
 
@@ -266,6 +269,36 @@ def sandwich_constants_per_point(u, m_list, degree_cap=None, sample_points=None,
         c1_by_m[m] = c1
         c2_by_m[m] = math.exp(log_c2)
     return c1_by_m, c2_by_m
+
+
+def loop_exact_norms(cones, m: int, degree_cap: int, n: int):
+    """(alpha, num, den) with c_alpha / (2 pi)^n = num / den for the admissible alpha.
+
+    With d = 2 alpha + 2 - 2 m J, each ray's -<d, v> is the affine form
+    <-2 v, alpha> + (2 m <J, v> - 2 sum(v)), set up once per m.  Its
+    coefficients are integers: a ray of J's cone is the t-part of a
+    double-description ray (v, lam) active on J's row, so <J, v> = -lam.
+    Each alpha then costs integer dot products and products, and the cone
+    terms |det V| / prod(-<d, v_i>) add up as one unreduced num / den.
+    """
+    setup = [(det, [([-2 * x for x in v], int(2 * m * dot(J, v) - 2 * sum(v))) for v in rays])
+             for rays, J, det in cones]
+    alphas = product(range(degree_cap + 1), repeat=n)
+    return [(a, *pair) for a in alphas if (pair := _cone_sum(setup, a)) is not None]
+
+
+def _cone_sum(setup, alpha) -> tuple[int, int] | None:
+    """(num, den) of the cone sum at alpha, or None when some -<d, v_i> <= 0 (divergence)."""
+    num, den = 0, 1
+    for scale, forms in setup:
+        denom = 1
+        for w, const in forms:
+            e = const + sum(map(int.__mul__, w, alpha))
+            if e <= 0:
+                return None
+            denom *= e
+        num, den = num * denom + scale * den, den * denom
+    return num, den
 
 
 def _radial_log_grid(shells: int, width: float, nodes: int):

@@ -82,6 +82,26 @@ def test_torus_mean_rejects_nan_radii():
     assert torus_mean(w, (-INF, -1.0), 64) == -1.0
 
 
+# a weight in three variables, given two: each entry point names both counts
+# (before the check, an IndexError from the phase of z3)
+THREE_VARIABLES = PolyLog.of([(1, (0, 1, 5)), (1, (1, 0, 0))])
+
+
+def test_torus_mean_rejects_more_variables_than_radii():
+    with pytest.raises(ValueError, match="^weight references 3 coordinates but the number of torus radii is 2$"):
+        torus_mean(THREE_VARIABLES, (-1.0, -2.0), 64)
+
+
+def test_slice_rejects_more_variables_than_its_dimension():
+    with pytest.raises(ValueError, match="^weight references 3 coordinates but the slice dimension is 2$"):
+        slice_lelong(THREE_VARIABLES, 1)
+
+
+def test_sphere_mean_rejects_more_variables_than_its_dimension():
+    with pytest.raises(ValueError, match="^weight references 3 coordinates but the sphere dimension is 2$"):
+        sphere_mean(THREE_VARIABLES, -1.0, 64, 2)
+
+
 def test_torus_mean_deterministic():
     w = PolyLog.of([(1, (2, 0)), (1j, (0, 3)), (-0.5, (1, 1))])
     a = torus_mean(w, (-2.0, -3.0), 256)

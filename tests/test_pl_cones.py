@@ -8,7 +8,9 @@ the checks here compare it with the two-dimensional tie sweep kept in
 factorization of a weight that ignores a coordinate, and with a golden
 file of bases.  The integer cone sums of `_exact_norms` are checked
 against the ray-by-ray `Fraction` sum of `exact_oracles.cone_integral`
-in n = 3 and 4.
+in n = 3 and 4, and its array pass against the per-exponent loop
+`exact_oracles.loop_exact_norms` it replaced, on both sides of its int64
+bound.
 """
 
 import json
@@ -17,13 +19,14 @@ from fractions import Fraction as F
 from itertools import product
 from pathlib import Path
 
+import numpy as np
 import pytest
-from exact_oracles import cone_integral, sweep_cones
+from exact_oracles import cone_integral, loop_exact_norms, sweep_cones, walk_pl_generators
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lelong.cli import _expr_record
-from lelong.demailly import _exact_norms, _pl_cones, basis_norms
+from lelong.demailly import _exact_norms, _pl_cones, _ray_forms, basis_norms
 from lelong.weights import CoordLog, MaxOf, PolyLog, Scale
 
 GOLDEN = Path(__file__).parent / "golden" / "pl_bases.json"
@@ -84,7 +87,8 @@ GOLDEN_WEIGHTS = [
 
 def _norms(gens, m: int, cap: int, n: int) -> dict:
     """alpha -> c_alpha / (2 pi)^n as a Fraction, for the admissible alpha."""
-    return {a: F(num, den) for a, num, den in _exact_norms(_pl_cones(gens, n), m, cap, n)}
+    alphas, num, den = _exact_norms(_ray_forms(_pl_cones(gens, n)), m, cap, n)
+    return {tuple(a): F(p, q) for a, p, q in zip(alphas.tolist(), num.tolist(), den.tolist())}
 
 
 def pl_bases() -> list[dict]:
@@ -251,3 +255,65 @@ def test_float_scales_give_the_fraction_basis(a, b):
             exact = basis_norms(MaxOf.of(Scale(F(a), _L1), Scale(F(b), _L2)), m, cap, dim=2)
             assert flt.degree_cap == exact.degree_cap
             assert flt.entries == exact.entries
+
+
+# ---------------------------------------------------------------------------
+# the array pass against the per-exponent loop it replaced
+
+
+def _assert_pass_matches_loop(u, m: int, cap: int, n: int):
+    """The basis against the loop's (alpha, (2 pi)^n (num / den)): same admissible alpha, same bits."""
+    want = loop_exact_norms(_pl_cones(walk_pl_generators(u, n), n), m, cap, n)
+    basis = basis_norms(u, m, cap, dim=n)
+    assert [(a, c.hex()) for a, c in basis.entries] == [(a, ((2.0 * math.pi) ** n * (p / q)).hex())
+                                                         for a, p, q in want]
+    assert basis.exponents.tolist() == [list(map(float, a)) for a, _, _ in want]
+    assert basis.neg_log_c.tolist() == [-math.log(c) for _, c in basis.entries]
+
+
+def _pl_weights(n: int):
+    leaves = st.one_of(
+        st.builds(CoordLog, st.integers(1, n)),
+        st.builds(lambda c, J: PolyLog.of([(c, J)]), st.sampled_from((1, -1, 1j)),
+                  st.tuples(*[st.integers(0, 3)] * n)),
+    )
+    return st.recursive(leaves, lambda kids: st.one_of(
+        st.builds(Scale, st.sampled_from((F(1, 2), F(2, 3), F(3, 2), F(2), F(5, 3), 0.75)), kids),
+        st.lists(kids, min_size=2, max_size=3).map(lambda c: MaxOf(tuple(c))),
+    ), max_leaves=4)
+
+
+@st.composite
+def _pl_cases(draw):
+    n = draw(st.integers(1, 3))
+    return draw(_pl_weights(n)), draw(st.integers(1, 6)), draw(st.integers(0, (12, 8, 4)[n - 1])), n
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(case=_pl_cases())
+def test_array_pass_matches_the_loop(case):
+    _assert_pass_matches_loop(*case)
+
+
+_TIERED_3D = MaxOf.of(_L1, Scale(F(2), _L2), Scale(F(3), CoordLog(3)), _mono(1, 1, 1))
+# m J is of order 1 at m = 2^40, so alpha <= 8 are admissible; the rays
+# have coordinates near 2^61 and the constants m a + b pass 2^63
+_TINY_SLOPES = MaxOf.of(Scale(F(2**23 + 1, 2**61), _L1), Scale(F(2**23 + 1, 2**61), _L2),
+                        Scale(F(1, 2**39), _mono(1, 1)))
+
+
+@pytest.mark.parametrize("u, m, cap, n, dtype, bits", [
+    (_TIERED_3D, 2, 9, 3, np.int64, (2, 49)),  # the bound holds
+    (_TIERED_3D, 2, 13, 3, object, (2, 54)),  # den past 2^53: float64 would round it
+    (_TIERED_3D, 2, 30, 3, object, (2, 64)),  # den past 2^63: int64 would wrap
+    (_TINY_SLOPES, 2**40, 8, 2, object, (64, 272)),  # the constants pass 2^63 too
+])
+def test_both_sides_of_the_int64_bound_match_the_loop(u, m, cap, n, dtype, bits):
+    # bits: the bit lengths of the largest constant |m a + b| and of the largest den
+    forms = _ray_forms(_pl_cones(walk_pl_generators(u, n), n))
+    _, num, den = _exact_norms(forms, m, cap, n)
+    assert num.dtype == dtype and den.dtype == dtype
+    W, a, b, _ = forms
+    const = max(abs(m * x + y) for x, y in zip(a, b))
+    assert (const.bit_length(), max(den.tolist()).bit_length()) == bits
+    _assert_pass_matches_loop(u, m, cap, n)
