@@ -19,7 +19,8 @@ Newton diagram; on each the integrand is the exponential of a linear
 form, so c_alpha is a rational multiple of (2 pi)^n, and the integral
 diverges exactly when that form is nonnegative on a ray of the cone fan
 (Howald's criterion, alpha + 1 outside the interior of m times the Newton
-polyhedron).  The cones and the integer forms of their rays are built
+polyhedron).  The cone fan is memoized per generator set
+(`poly_geom._pl_cones`), and the integer forms of its rays are built
 once per call for all levels m; each level is then one array pass over
 all (cap + 1)^n exponents, which tests every ray and sums the cone terms
 as one unreduced num / den per admissible alpha.  The pass runs in int64
@@ -46,10 +47,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .exactgeom import Vec, _bareiss, _fan, _integer_row
+from .exactgeom import Vec, _integer_row
 from .indicator_calculus import _check_dimensions, _density, _tau
 from .numeric_oracle import DEFAULT_SCHEDULE, RadialSchedule, _swept_estimate
-from .poly_geom import ExponentSet, _diagram, _measure
+from .poly_geom import ExponentSet, _measure, _pl_cones
 from .weights import _generators, _log_rows, _peak_shift, _point_sums, dimension_of
 from .weights import eval_expr, is_multicircled, torus_values
 
@@ -183,29 +184,6 @@ def _pl_degree_cap(gens: list[Vec], m: int, n: int) -> int:
     """
     intercepts = [max(J) for J in gens if sum(x > 0 for x in J) == 1]
     return max(DEFAULT_DEGREE_CAP[min(n, 2)], 2 * math.ceil(m * max(intercepts, default=0)))
-
-
-def _pl_cones(gens: list[Vec], n: int) -> list[tuple[list[tuple[int, ...]], Vec, int]]:
-    """Simplicial cones covering s <= 0 on each of which max_J <J, s> is linear.
-
-    Returns (rays, J, |det rays|) with J the generator active on the cone.
-    The linearity cone of each hull vertex J and its extreme rays come
-    from the double-description pass of `poly_geom._diagram`.  The cut of
-    the cone at sum(s) = -1 is triangulated, and each simplex keeps the
-    primitive integer rays through its vertices.  The cut points are
-    scaled by L, the lcm of the -sum(v), to the integer points
-    v * (L / -sum(v)), and triangulated at that scale.  A zero generator
-    (u = 0 on s <= 0) has the row lam <= 0, which leaves the orthant as
-    the one cone.
-    """
-    cones = []
-    for J, rays in _diagram(sorted(set(gens)), n)[1]:
-        scale = math.lcm(*(-sum(v) for v in rays))
-        by_cut = {tuple(x * (scale // -sum(v)) for x in v): v for v in rays}
-        for simplex in _fan(list(by_cut), scale):
-            V = [by_cut[p] for p in simplex]
-            cones.append((V, J, abs(_bareiss([list(v) for v in V])[2])))
-    return cones
 
 
 def _ray_forms(cones) -> tuple[list[list[int]], list[int], list[int], list[int]]:

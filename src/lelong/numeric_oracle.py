@@ -14,20 +14,25 @@ chunked grid, `_grid_rows`.  MAX_GRID_POINTS bounds the nominal grid of
 each mean, not the batch.
 
 A torus mean of a bare or scaled `PolyLog` needs no grid where one of
-two closed forms holds (`_closed_mean`).  Where one term of a
-Newton-diagram vertex dominates the others, the mean is that term's
-log-modulus, exactly (`_dominant_mean`).  At the other points, a
-polynomial whose exponents lie on one line, J_j = base + e_j v (every
-binomial, every 2-D homogeneous polynomial), has the mean of a
-univariate polynomial q, which Jensen's formula gives from the roots of
-q (`_line_mean`).  Both accept a point only where the clip floor clips
-no node of its torus or every node, and the line form only where no
-root of q lies within a relative 1e-6 of its circle; lines of degree
-above _MAX_LINE_DEGREE keep the grid.  A sphere level is the mean of
-its radial rows, closed or not.  A slice level takes the same closed
-forms, with the same rules, on the restriction of a bare or scaled
-`PolyLog` to its hyperplane, a univariate polynomial.  The Richardson
-fit is a closed-form least-squares line with no LAPACK call.
+two closed forms holds.  Each is a function of the terms and log-radii
+that returns (mean, low, high), with low <= log|P| <= high on the
+torus, and a NaN mean where its theorem does not hold.  Where one term
+of a Newton-diagram vertex dominates the others, the mean is that
+term's log-modulus, exactly (`_dominant_form`).  A polynomial whose
+exponents lie on one line, J_j = base + e_j v (every binomial, every
+2-D homogeneous polynomial), has the mean of a univariate polynomial q,
+which Jensen's formula gives from the roots of q (`_line_form`); a root
+within a relative 1e-6 of its circle makes low -inf, and lines of
+degree above _MAX_LINE_DEGREE have no form.  `_closed_mean` unwraps the
+scale factors, takes the dominant form first and the line form at the
+points still open, and accepts a point by one floor rule: mean >=
+floor and low >= floor (no node of its torus clips), or mean < floor
+and high < floor (every node clips).  The other points keep the grid.
+A sphere level is the mean of its radial rows, closed or not.  A slice
+level takes the same closed forms, with the same rule, on the
+restriction of a bare or scaled `PolyLog` to its hyperplane, a
+univariate polynomial.  The Richardson fit is a closed-form
+least-squares line with no LAPACK call.
 
 Determinism contract: fixed node grids and an exact sum, so identical
 inputs produce bitwise-identical outputs.  A grid is evaluated in chunks,
@@ -86,9 +91,10 @@ _CLIP_REJECT_FRACTION = 0.01
 # closed form would leave part of the grid or all of it unbuilt.
 MAX_GRID_POINTS = 2**24
 
-# Relative margin of the dominance test of `_dominant_mean`.  The row
-# log-amplitudes and their shifted exps are computed to a few ulp of the
-# magnitudes involved, far inside 1e-12 of them.
+# Relative margin of the dominance test of `_dominant_form` (s < 2 less
+# this margin).  The row log-amplitudes and their shifted exps are
+# computed to a few ulp of the magnitudes involved, far inside 1e-12 of
+# them; the floor rule of `_closed_mean` then decides on its bounds.
 _DOMINANCE_MARGIN = 1e-12
 
 # Largest degree of the one-variable polynomial of a rank-one PolyLog
@@ -97,9 +103,11 @@ _DOMINANCE_MARGIN = 1e-12
 # degrees keep the grid.
 _MAX_LINE_DEGREE = 256
 
-# Relative margin within which a root of `_line_mean` counts as lying
-# on its circle: far above the rounding of s and of simple roots, and
-# above the 3e-8 error of double roots from numpy.roots.
+# Relative margin within which a root of `_line_form` counts as lying
+# on its circle, which makes its low -inf, so that the floor rule of
+# `_closed_mean` accepts the point only where every node clips: far
+# above the rounding of s and of simple roots, and above the 3e-8 error
+# of double roots from numpy.roots.
 _CIRCLE_MARGIN = 1e-6
 
 # Points evaluated at once: 2^18, 4 MiB per complex128 array.
@@ -343,23 +351,14 @@ def _vertex_rows(exponents: tuple[tuple[int, ...], ...]) -> np.ndarray:
     return rows
 
 
-def _unscale(w):
-    """(product of the scale factors around w, the weight inside them)."""
-    factor = 1.0
-    while isinstance(w, Scale):
-        factor *= float(w.factor)
-        w = w.child
-    return factor, w
+def _dominant_form(terms, t):
+    """(mean, low, high) of log|P| over the tori of t where one Newton-vertex term dominates.
 
-
-def _dominant_mean(w, t, floor: float):
-    """Exact torus means of a bare or scaled PolyLog, NaN where a grid is needed.
-
-    None when w is no such weight; otherwise an array over the broadcast
-    shape of t.  With g_j = log|c_j| + <J_j, t> and peak = g_k their
-    maximum, a point is accepted when J_k is a vertex of conv(J) + R_+^n
-    and s = sum_j exp(g_j - peak) < 2, less a margin for rounding.  Its
-    mean is then peak, times the scale factors.
+    With g_j = log|c_j| + <J_j, t> and peak = g_k their maximum, the form
+    holds where J_k is a vertex of conv(J) + R_+^n and s = sum_j exp(g_j
+    - peak) < 2, less a margin for rounding; its mean is NaN elsewhere.
+    The mean is peak, between low = peak + log(2 - s) and high = peak +
+    log(s).
 
     Proof.  On the torus, log|P| = g_k + Re log(1 + h) with h = sum_(j !=
     k) (c_j / c_k) z^(J_j - J_k), and |h| <= s - 1 < 1, so the series
@@ -367,26 +366,18 @@ def _dominant_mean(w, t, floor: float):
     sum of the constant terms of the h^m.  A vertex J_k has a strict
     separating functional a: <a, J_j - J_k> > 0 for every j != k.  Each
     monomial of h^m is a sum of m such differences, so no monomial is
-    constant, and every mean vanishes.
-
-    The floor is decided on the bounds g_k + log(2 - s) <= log|P| <=
-    g_k + log(s): a point where it would clip some nodes of the torus
-    but not all is sent to the grid.
+    constant, and every mean vanishes.  The bounds are those of |1 + h|
+    between 1 - |h| and 1 + |h|.
     """
-    factor, w = _unscale(w)
-    if not isinstance(w, PolyLog) or len(w.terms[0][1]) > len(t):
-        return None
-    exponents = tuple(J for _, J in w.terms)
-    log_c = np.array([math.log(abs(c)) for c, _ in w.terms])
+    exponents = tuple(J for _, J in terms)
+    log_c = np.array([math.log(abs(c)) for c, _ in terms])
     g = _log_rows(log_c, np.array(exponents, dtype=float), t)
     peak, shifted = _peak_shift(g)
     s = _point_sums(shifted)
     margin = _DOMINANCE_MARGIN * (len(exponents) + len(t) * (np.abs(peak) + np.abs(log_c).max()))
     with np.errstate(invalid="ignore", divide="ignore"):
-        low, high = factor * (peak + np.log(2.0 - s)), factor * (peak + np.log(s))
-        accept = _vertex_rows(exponents)[g.argmax(axis=0)] & (s < 2.0 - margin)
-        accept &= (low >= floor) | (high < floor)
-    return np.where(accept, factor * peak, np.nan)
+        holds = _vertex_rows(exponents)[g.argmax(axis=0)] & (s < 2.0 - margin)
+        return np.where(holds, peak, np.nan), peak + np.log(2.0 - s), peak + np.log(s)
 
 
 @dataclass(frozen=True)
@@ -445,34 +436,23 @@ def _rank_one(terms: tuple[tuple[complex, tuple[int, ...]], ...]) -> _Line | Non
     return line
 
 
-def _line_mean(w, t, floor: float):
-    """Exact torus means of a bare or scaled PolyLog of rank one, NaN where a grid is needed.
+def _line_form(terms, t):
+    """(mean, low, high) of log|P| over the tori of t by Jensen's formula; None without a line.
 
-    None when w is no such weight, or its line is over the degree limit;
-    otherwise an array over the broadcast shape of t.  The exponents lie
-    on one line, J_j = base + e_j v, so P(z) = z^base q(z^v) with q(x) =
-    sum_j c_j x^(e_j).  The character z -> z^v maps the Haar measure of
-    the torus onto that of the circle |x| = e^s, s = <v, t>, and Jensen's
-    formula gives the mean
+    None unless `_rank_one` finds the line of the exponents, J_j = base +
+    e_j v, so P(z) = z^base q(z^v) with q(x) = sum_j c_j x^(e_j).  The
+    character z -> z^v maps the Haar measure of the torus onto that of
+    the circle |x| = e^s, s = <v, t>, and Jensen's formula gives the mean
 
         A + log|c_top| + sum_rho max(s, log|rho|),   A = <base, t>,
 
-    over the roots rho of q (numpy.roots), times the scale factors.
-
-    The floor is decided on the bounds low <= log|P| <= high on the torus:
-    low = A + log|c_top| + sum_rho log|e^s - |rho||, from |x - rho| >=
-    ||x| - |rho||, and high = A + log sum_j |c_j| e^(e_j s), from the
-    triangle inequality.  A point is accepted when its mean is at least
-    the floor and low is too (no node clips), or when its mean is below
-    the floor and high is too (every node clips).  A root within
-    _CIRCLE_MARGIN (relative, times 1 + sum_k |v_k t_k| for the rounding
-    of s) of the circle counts as on it: low is -inf there, and only a
-    point where every node clips is accepted.
+    over the roots rho of q (numpy.roots).  low = A + log|c_top| +
+    sum_rho log|e^s - |rho||, from |x - rho| >= ||x| - |rho||, and high =
+    A + log sum_j |c_j| e^(e_j s), from the triangle inequality.  A root
+    within _CIRCLE_MARGIN (relative, times 1 + sum_k |v_k t_k| for the
+    rounding of s) of the circle counts as on it: low is -inf there.
     """
-    factor, w = _unscale(w)
-    if not isinstance(w, PolyLog) or len(w.terms[0][1]) > len(t):
-        return None
-    line = _rank_one(w.terms)
+    line = _rank_one(terms)
     if line is None:
         return None
     A, s = _log_rows(np.zeros(2), np.stack([line.base, line.v]), t)
@@ -482,25 +462,36 @@ def _line_mean(w, t, floor: float):
         top = np.maximum(s[..., None], line.log_roots)
         gap = np.abs(s[..., None] - line.log_roots)
         near = gap <= _CIRCLE_MARGIN * (1.0 + scale[..., None])
-        mean = factor * (lead + top.sum(axis=-1))
-        low = factor * (lead + np.where(near, -np.inf, top + np.log(-np.expm1(-gap))).sum(axis=-1))
+        low = lead + np.where(near, -np.inf, top + np.log(-np.expm1(-gap))).sum(axis=-1)
         peak, shifted = _peak_shift(_log_rows(line.log_c, line.degrees[:, None], (s,)))
-        high = factor * (A + peak + np.log(_point_sums(shifted)))
-        accept = np.where(mean >= floor, low >= floor, high < floor)
-    return np.where(accept, mean, np.nan)
+        return lead + top.sum(axis=-1), low, A + peak + np.log(_point_sums(shifted))
 
 
 def _closed_mean(w, t, floor: float):
-    """Exact torus means where a closed form holds, NaN elsewhere; None for other weights.
+    """Exact torus means of a bare or scaled PolyLog where a closed form holds, NaN elsewhere.
 
-    `_dominant_mean` decides first; the points it leaves NaN take
-    `_line_mean` where the weight has one.
+    None when w, inside its scale factors, is no PolyLog or has more
+    variables than t; otherwise an array over the broadcast shape of t.
+    `_dominant_form` decides first, and `_line_form` takes the points it
+    leaves NaN.  Each form's (mean, low, high), times the scale factors,
+    is accepted by one floor rule: where the mean is at least the floor
+    and low is too (no node of the torus clips), or where the mean is
+    below the floor and high is too (every node clips).
     """
-    means = _dominant_mean(w, t, floor)
-    if means is not None and np.isnan(means).any():
-        line = _line_mean(w, t, floor)
-        if line is not None:
-            means = np.where(np.isnan(means), line, means)
+    factor = 1.0
+    while isinstance(w, Scale):
+        factor *= float(w.factor)
+        w = w.child
+    if not isinstance(w, PolyLog) or len(w.terms[0][1]) > len(t):
+        return None
+    means = None
+    with np.errstate(invalid="ignore"):
+        for form in (_dominant_form, _line_form):
+            found = form(w.terms, t) if means is None or np.isnan(means).any() else None
+            if found is not None:
+                mean, low, high = (factor * x for x in found)
+                taken = np.where(np.where(mean >= floor, low >= floor, high < floor), mean, np.nan)
+                means = taken if means is None else np.where(np.isnan(means), taken, means)
     return means
 
 
@@ -620,6 +611,7 @@ def _sphere_levels(w, levels, nodes: int, n: int, radial_nodes: int | None = Non
     theta-independent weight counts one node per radial row.  The cap
     applies to the nominal grid of one level.
     """
+    _check_variables(w, n, "the sphere dimension")
     if radial_nodes is None:
         radial_nodes = 64 if n == 2 else 16
     profiles = _equal_area_log_profiles(n, radial_nodes)
@@ -649,7 +641,6 @@ def sphere_mean(w, r: float, nodes: int, dim: int, radial_nodes: int | None = No
         raise ValueError("radius exponent must be finite")
     if r >= 0:
         raise ValueError("radius exponent must be negative")
-    _check_variables(w, dim, "the sphere dimension")
     return _sphere_levels(w, (r,), nodes, dim, radial_nodes)[0][0]
 
 
@@ -720,6 +711,7 @@ def directional_lelong_numeric(w, a: Sequence[float], sched: RadialSchedule = DE
         raise ValueError("direction must be finite")
     if any(x <= 0 for x in av):
         raise ValueError("direction must be strictly positive")
+    _check_variables(w, len(av), "the number of torus radii")
     means, clipped, _ = _rows(w, [np.multiply(sched.levels, x) for x in av], sched.angular_nodes)
     total = sched.angular_nodes ** len(av)
     return _sweep_levels(zip(means, clipped, repeat(total)), sched, "directional probe")
@@ -760,7 +752,8 @@ def _swept_levels(gm, w, levels, nodes: int):
 
     Each atom t0 contributes the torus mean of w at radii |r| * t0, all
     levels and atoms in one `_rows` call.  Every atom is checked against
-    the coordinate walls, and then nodes, before any mean is taken.
+    the coordinate walls, and then nodes and the weight's variables,
+    before any mean is taken.
     """
     t0s = [_atom_radii(t0) for t0, _ in gm.atoms]
     if nodes < 64:
@@ -768,6 +761,7 @@ def _swept_levels(gm, w, levels, nodes: int):
     if not t0s:  # without atoms the sum is 0 in any dimension
         return [(0.0, 0, 0)] * len(levels)
     n, count = len(t0s[0]), len(t0s)
+    _check_variables(w, n, "the number of torus radii")
     t = np.multiply.outer(np.abs(np.asarray(levels, dtype=float)), np.array(t0s))
     means, clipped, _ = _rows(w, list(np.ascontiguousarray(t.reshape(-1, n).T)), nodes)
     masses = [float(mass) for _, mass in gm.atoms]

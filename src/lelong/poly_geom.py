@@ -17,12 +17,13 @@ computes, with exact rational arithmetic:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, wraps
 from typing import Iterable, Sequence
 
-from .exactgeom import Vec, _bareiss, dot, double_description, polytope_volume, vec
+from .exactgeom import Vec, _bareiss, _fan, dot, double_description, polytope_volume, vec
 
 __all__ = [
     "DegenerateIndicatorError",
@@ -162,6 +163,29 @@ def _diagram(points: tuple[Vec, ...], n: int) -> tuple[
         if ray[n] > 0
     ))
     return vertices, tuple((points[j], tuple(ray[:n] for ray in active[j])) for j in hull)
+
+
+@_memo
+def _pl_cones(points: tuple[Vec, ...], n: int) -> tuple[tuple[tuple[tuple[int, ...], ...], Vec, int], ...]:
+    """Simplicial cones covering s <= 0 on each of which max_J <J, s> is linear.
+
+    Returns (rays, J, |det rays|) with J the generator active on the cone.
+    The linearity cone of each hull vertex J and its extreme rays come
+    from the double-description pass of `_diagram`.  The cut of the cone
+    at sum(s) = -1 is triangulated, and each simplex keeps the primitive
+    integer rays through its vertices.  The cut points are scaled by L,
+    the lcm of the -sum(v), to the integer points v * (L / -sum(v)), and
+    triangulated at that scale.  A zero generator (u = 0 on s <= 0) has
+    the row lam <= 0, which leaves the orthant as the one cone.
+    """
+    cones = []
+    for J, rays in _diagram(sorted(set(points)), n)[1]:
+        scale = math.lcm(*(-sum(v) for v in rays))
+        by_cut = {tuple(x * (scale // -sum(v)) for x in v): v for v in rays}
+        for simplex in _fan(list(by_cut), scale):
+            V = tuple(by_cut[p] for p in simplex)
+            cones.append((V, J, abs(_bareiss([list(v) for v in V])[2])))
+    return tuple(cones)
 
 
 def sublevel_vertices(S: ExponentSet) -> SublevelPolyhedron:

@@ -1,7 +1,8 @@
 """Child processes started by the tests import the package from this checkout.
 
-Every test starts with cold diagram memos, so a test that counts
-double-description passes or built Fractions sees the work of its own calls.
+Every test starts with cold diagram, measure and cone-fan memos, so a test
+that counts double-description passes or built Fractions sees the work of
+its own calls.
 """
 
 import os
@@ -19,3 +20,4 @@ def _cold_diagram_memos():
 
     poly_geom._diagram.cache_clear()
     poly_geom._masses.cache_clear()
+    poly_geom._pl_cones.cache_clear()

@@ -10,18 +10,24 @@ log-amplitude loop that the stacked log-sum-exp kernel of
 per-level means that the row routine of `lelong.numeric_oracle`
 replaced (`torus_stats`, `sphere_stats`, `swept_stats`, `slice_stats`,
 with their `grid_mean`) are kept as they were, to check its batches bit
-for bit; `grid_stats` reads the library's grid as one mean.
+for bit; `grid_stats` reads the library's grid as one mean.  The
+closed-form means with a floor rule each (`_unscale`, `_dominant_mean`,
+`_line_mean`, `_closed_mean`) are kept as they were before the forms
+returned (mean, low, high) behind one rule, to check those bit for bit;
+`dominant_only` reads the library's `_closed_mean` with the dominant
+form alone.
 """
 
 import cmath
 import math
 from concurrent import futures
+from unittest import mock
 
 import numpy as np
 
 from lelong import numeric_oracle
-from lelong.numeric_oracle import CLIP_FLOOR
-from lelong.weights import PolyLog, depends_on_theta, torus_values
+from lelong.numeric_oracle import _CIRCLE_MARGIN, _DOMINANCE_MARGIN, CLIP_FLOOR, _rank_one, _vertex_rows
+from lelong.weights import PolyLog, Scale, _log_rows, _peak_shift, _point_sums, depends_on_theta, torus_values
 
 _GOLDEN = 0.6180339887498949
 
@@ -320,3 +326,122 @@ def torus_grid(w, t, nodes: int):
     """(mean, clipped, total) of the library's grid over the whole torus, with no closed form."""
     n = len(t)
     return grid_stats(w, t, numeric_oracle._theta_grids(n, nodes), (1,) + (nodes,) * n)
+
+
+# ---------------------------------------------------------------------------
+# the closed-form means as they were, each with its own scale unwrapping,
+# PolyLog gate and floor rule
+
+
+def _unscale(w):
+    """(product of the scale factors around w, the weight inside them)."""
+    factor = 1.0
+    while isinstance(w, Scale):
+        factor *= float(w.factor)
+        w = w.child
+    return factor, w
+
+
+def _dominant_mean(w, t, floor: float):
+    """Exact torus means of a bare or scaled PolyLog, NaN where a grid is needed.
+
+    None when w is no such weight; otherwise an array over the broadcast
+    shape of t.  With g_j = log|c_j| + <J_j, t> and peak = g_k their
+    maximum, a point is accepted when J_k is a vertex of conv(J) + R_+^n
+    and s = sum_j exp(g_j - peak) < 2, less a margin for rounding.  Its
+    mean is then peak, times the scale factors.
+
+    Proof.  On the torus, log|P| = g_k + Re log(1 + h) with h = sum_(j !=
+    k) (c_j / c_k) z^(J_j - J_k), and |h| <= s - 1 < 1, so the series
+    Re sum_m (-1)^(m+1) h^m / m converges uniformly and its mean is the
+    sum of the constant terms of the h^m.  A vertex J_k has a strict
+    separating functional a: <a, J_j - J_k> > 0 for every j != k.  Each
+    monomial of h^m is a sum of m such differences, so no monomial is
+    constant, and every mean vanishes.
+
+    The floor is decided on the bounds g_k + log(2 - s) <= log|P| <=
+    g_k + log(s): a point where it would clip some nodes of the torus
+    but not all is sent to the grid.
+    """
+    factor, w = _unscale(w)
+    if not isinstance(w, PolyLog) or len(w.terms[0][1]) > len(t):
+        return None
+    exponents = tuple(J for _, J in w.terms)
+    log_c = np.array([math.log(abs(c)) for c, _ in w.terms])
+    g = _log_rows(log_c, np.array(exponents, dtype=float), t)
+    peak, shifted = _peak_shift(g)
+    s = _point_sums(shifted)
+    margin = _DOMINANCE_MARGIN * (len(exponents) + len(t) * (np.abs(peak) + np.abs(log_c).max()))
+    with np.errstate(invalid="ignore", divide="ignore"):
+        low, high = factor * (peak + np.log(2.0 - s)), factor * (peak + np.log(s))
+        accept = _vertex_rows(exponents)[g.argmax(axis=0)] & (s < 2.0 - margin)
+        accept &= (low >= floor) | (high < floor)
+    return np.where(accept, factor * peak, np.nan)
+
+
+def _line_mean(w, t, floor: float):
+    """Exact torus means of a bare or scaled PolyLog of rank one, NaN where a grid is needed.
+
+    None when w is no such weight, or its line is over the degree limit;
+    otherwise an array over the broadcast shape of t.  The exponents lie
+    on one line, J_j = base + e_j v, so P(z) = z^base q(z^v) with q(x) =
+    sum_j c_j x^(e_j).  The character z -> z^v maps the Haar measure of
+    the torus onto that of the circle |x| = e^s, s = <v, t>, and Jensen's
+    formula gives the mean
+
+        A + log|c_top| + sum_rho max(s, log|rho|),   A = <base, t>,
+
+    over the roots rho of q (numpy.roots), times the scale factors.
+
+    The floor is decided on the bounds low <= log|P| <= high on the torus:
+    low = A + log|c_top| + sum_rho log|e^s - |rho||, from |x - rho| >=
+    ||x| - |rho||, and high = A + log sum_j |c_j| e^(e_j s), from the
+    triangle inequality.  A point is accepted when its mean is at least
+    the floor and low is too (no node clips), or when its mean is below
+    the floor and high is too (every node clips).  A root within
+    _CIRCLE_MARGIN (relative, times 1 + sum_k |v_k t_k| for the rounding
+    of s) of the circle counts as on it: low is -inf there, and only a
+    point where every node clips is accepted.
+    """
+    factor, w = _unscale(w)
+    if not isinstance(w, PolyLog) or len(w.terms[0][1]) > len(t):
+        return None
+    line = _rank_one(w.terms)
+    if line is None:
+        return None
+    A, s = _log_rows(np.zeros(2), np.stack([line.base, line.v]), t)
+    scale = _log_rows(np.zeros(1), np.abs(line.v)[None], [np.abs(x) for x in t])[0]
+    lead = A + line.log_top
+    with np.errstate(invalid="ignore", divide="ignore"):
+        top = np.maximum(s[..., None], line.log_roots)
+        gap = np.abs(s[..., None] - line.log_roots)
+        near = gap <= _CIRCLE_MARGIN * (1.0 + scale[..., None])
+        mean = factor * (lead + top.sum(axis=-1))
+        low = factor * (lead + np.where(near, -np.inf, top + np.log(-np.expm1(-gap))).sum(axis=-1))
+        peak, shifted = _peak_shift(_log_rows(line.log_c, line.degrees[:, None], (s,)))
+        high = factor * (A + peak + np.log(_point_sums(shifted)))
+        accept = np.where(mean >= floor, low >= floor, high < floor)
+    return np.where(accept, mean, np.nan)
+
+
+def _closed_mean(w, t, floor: float):
+    """Exact torus means where a closed form holds, NaN elsewhere; None for other weights.
+
+    `_dominant_mean` decides first; the points it leaves NaN take
+    `_line_mean` where the weight has one.
+    """
+    means = _dominant_mean(w, t, floor)
+    if means is not None and np.isnan(means).any():
+        line = _line_mean(w, t, floor)
+        if line is not None:
+            means = np.where(np.isnan(means), line, means)
+    return means
+
+
+def dominant_only(w, t):
+    """The library's `_closed_mean` at CLIP_FLOOR with the line form switched off.
+
+    These are the means the dominant form takes by itself, NaN elsewhere.
+    """
+    with mock.patch.object(numeric_oracle, "_line_form", lambda terms, t: None):
+        return numeric_oracle._closed_mean(w, t, CLIP_FLOOR)

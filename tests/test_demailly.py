@@ -549,7 +549,6 @@ def test_non_convenient_weight_is_flagged_from_zero_mass_vertices():
 
 
 def test_bounds_check_builds_one_diagram_of_the_weight(monkeypatch):
-    import lelong.demailly as demailly
     import lelong.poly_geom as poly_geom
 
     seen = []
@@ -559,8 +558,8 @@ def test_bounds_check_builds_one_diagram_of_the_weight(monkeypatch):
         seen.append(tuple(points))
         return diagram(points, n)
 
+    # the cone fan of u, poly_geom._pl_cones, takes its diagram from there too
     monkeypatch.setattr(poly_geom, "_diagram", counting)
-    monkeypatch.setattr(demailly, "_diagram", counting)
     u = MaxOf.of(Scale(F(2), CoordLog(1)), Scale(F(3, 2), CoordLog(2)))
     phi = ExponentSet.of([(0, 3), (1, 1), (4, 0)])
     lelong_bounds_check(u, phi, [1, 2, 3, 4], degree_cap=6, sched=SCHED, dim=2)
@@ -571,15 +570,21 @@ def test_bounds_check_builds_one_diagram_of_the_weight(monkeypatch):
 
 def test_sandwich_check_builds_the_cones_once(monkeypatch):
     import lelong.demailly as demailly
+    import lelong.poly_geom as poly_geom
 
-    calls = []
-    pl_cones = demailly._pl_cones
+    calls, builds = [], []
+    pl_cones, diagram = poly_geom._pl_cones, poly_geom._diagram
 
     def counting(gens, n):
         calls.append(n)
         return pl_cones(gens, n)
 
+    def building(points, n):
+        builds.append(n)
+        return diagram(points, n)
+
     monkeypatch.setattr(demailly, "_pl_cones", counting)
+    monkeypatch.setattr(poly_geom, "_diagram", building)
     u = MaxOf.of(Scale(F(2), CoordLog(1)), Scale(F(3, 2), CoordLog(2)))
     rep = sandwich_check(u, [1, 2, 3, 4], degree_cap=6, dim=2)
     assert calls == [2]
@@ -587,6 +592,8 @@ def test_sandwich_check_builds_the_cones_once(monkeypatch):
     for m in (1, 2, 3, 4):
         assert sandwich_check(u, [m], degree_cap=6, dim=2).c1_by_m[m] == rep.c1_by_m[m]
     assert calls == [2] * 4
+    # one fan per call, and one diagram under them all: the fan is memoized
+    assert builds == [2]
 
 
 def _assert_matches_per_point(u, m_list, **kw):

@@ -15,12 +15,12 @@ import pytest
 
 import grid_oracles
 from lelong import numeric_oracle
-from lelong.numeric_oracle import CLIP_FLOOR, _dominant_mean, sphere_mean, torus_mean
+from lelong.numeric_oracle import CLIP_FLOOR, _closed_mean, sphere_mean, torus_mean
 from lelong.weights import MaxOf, PolyLog, Scale, _log_rows, _peak_shift
 
 
 def accepted(w, t) -> bool:
-    return not np.isnan(_dominant_mean(w, t, CLIP_FLOOR))
+    return not np.isnan(grid_oracles.dominant_only(w, t))
 
 
 def dominance_sum(w, t) -> float:
@@ -118,7 +118,7 @@ def test_scaled_weights_take_the_factor():
     assert torus_mean(Scale(F(3, 2), w), t, 64) == 1.5 * base
     assert torus_mean(Scale(0.25, Scale(F(3), w)), t, 64) == pytest.approx(0.75 * base, abs=1e-15)
     # trees keep the grid
-    assert _dominant_mean(MaxOf.of(w), t, CLIP_FLOOR) is None
+    assert _closed_mean(MaxOf.of(w), t, CLIP_FLOOR) is None
 
 
 def test_clip_floor_on_closed_forms():
@@ -130,7 +130,7 @@ def test_clip_floor_on_closed_forms():
     # where the floor cuts through the values of the torus, the grid decides
     f = F(-CLIP_FLOOR)  # the mean is exactly the floor
     assert not accepted(Scale(f, w), t)
-    assert np.isnan(numeric_oracle._closed_mean(Scale(f, w), t, CLIP_FLOOR))
+    assert np.isnan(_closed_mean(Scale(f, w), t, CLIP_FLOOR))
     mean, clipped, total = grid_oracles.row_stats(Scale(f, w), t, 64)
     assert 0 < clipped < total
 

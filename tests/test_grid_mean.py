@@ -230,7 +230,7 @@ def swept_row_kinds(r: float = -1.5):
     kinds = []
     for t0, _ in SWEPT_GM.atoms:
         t = tuple(abs(r) * x for x in numeric_oracle._atom_radii(t0))
-        if not np.isnan(numeric_oracle._dominant_mean(SWEPT_W, t, CLIP_FLOOR)):
+        if not np.isnan(grid_oracles.dominant_only(SWEPT_W, t)):
             kinds.append("dominant")
         else:
             kinds.append("grid" if np.isnan(numeric_oracle._closed_mean(SWEPT_W, t, CLIP_FLOOR))

@@ -113,7 +113,7 @@ _gens = st.integers(1, 3).flatmap(lambda n: st.tuples(
 def test_pl_cones_match_the_fraction_cut(case):
     n, gens = case
     gens = [tuple(F(x) for x in J) for J in gens]
-    assert demailly._pl_cones(gens, n) == fraction_pl_cones(gens, n)
+    assert poly_geom._pl_cones(gens, n) == tuple((tuple(V), J, det) for V, J, det in fraction_pl_cones(gens, n))
 
 
 # ---------------------------------------------------------------------------
@@ -178,7 +178,7 @@ def test_pl_cones_build_fractions_only_for_the_diagram_vertices(monkeypatch, u, 
     fake, built = _counting_fraction()
     for module in (exactgeom, poly_geom, demailly):
         monkeypatch.setattr(module, "Fraction", fake)
-    assert demailly._pl_cones(gens, n)
+    assert poly_geom._pl_cones(gens, n)
     vertices, _ = poly_geom._diagram(sorted(set(gens)), n)  # the memo's entry: builds nothing
     assert sorted(built) == sorted(x for t0, _ in vertices for x in t0)
 

@@ -17,7 +17,7 @@ import pytest
 
 import grid_oracles
 from lelong import numeric_oracle
-from lelong.numeric_oracle import (CLIP_FLOOR, _closed_mean, _dominant_mean, _line_mean, sphere_mean,
+from lelong.numeric_oracle import (CLIP_FLOOR, _closed_mean, _dominant_form, _line_form, sphere_mean,
                                    torus_mean)
 from lelong.weights import PolyLog, Scale
 
@@ -32,7 +32,7 @@ L3 = PolyLog.of([(1.0, (2, 1, 0)), (-1.3 + 0.4j, (1, 1, 1)), (0.8j, (0, 1, 2))])
 
 def line_form(w, t) -> bool:
     """True where the dominance test leaves t to the rank-one form and it takes it."""
-    return bool(np.isnan(_dominant_mean(w, t, CLIP_FLOOR)) and not np.isnan(_closed_mean(w, t, CLIP_FLOOR)))
+    return bool(np.isnan(grid_oracles.dominant_only(w, t)) and not np.isnan(_closed_mean(w, t, CLIP_FLOOR)))
 
 
 @pytest.mark.parametrize("w, a", [(H3, (1, 1)), (H4, (1, 1)), (L3, (1, 1, 1)), (L3, (2, 1, 2))])
@@ -72,7 +72,8 @@ def test_binomial_exactly_tied_keeps_the_grid_and_its_clip_counts():
     # the root of 1 + x lies on the circle |x| = e^0
     tie = PolyLog.of([(1, (1, 0)), (1, (0, 1))])
     t = (-1.0, -1.0)
-    assert np.isnan(_line_mean(tie, t, CLIP_FLOOR))
+    assert _line_form(tie.terms, t)[1] == -np.inf
+    assert np.isnan(_closed_mean(tie, t, CLIP_FLOOR))
     clipping = Scale(F(500000), tie)
     assert np.isnan(_closed_mean(clipping, t, CLIP_FLOOR))
     stats = grid_oracles.row_stats(clipping, t, 64)
@@ -86,7 +87,7 @@ def test_rank_two_weights_keep_nan_rows():
     generic = PolyLog.of([(1, (2, 0)), (1j, (0, 3)), (-0.5, (1, 1))])
     for w, t in ((smyth, (-0.1, -0.2)), (generic, (-1.0, -0.7))):
         assert numeric_oracle._rank_one(w.terms) is None
-        assert _line_mean(w, t, CLIP_FLOOR) is None
+        assert _line_form(w.terms, t) is None
         assert np.isnan(_closed_mean(w, t, CLIP_FLOOR))
 
 
@@ -94,7 +95,7 @@ def test_a_root_out_of_float_range_keeps_the_grid():
     # the root -1e-600 underflows to 0
     w = PolyLog.of([(1e-300, (0,)), (1e300, (1,))])
     assert numeric_oracle._rank_one(w.terms) is None
-    assert _line_mean(w, (-1.0,), CLIP_FLOOR) is None
+    assert _line_form(w.terms, (-1.0,)) is None
 
 
 def test_sphere_rows_take_the_rank_one_form():
@@ -117,7 +118,7 @@ def test_a_line_above_the_degree_limit_keeps_the_grid(monkeypatch):
     top = numeric_oracle._MAX_LINE_DEGREE + 1
     w = PolyLog.of([(1, (0,)), (1, (1,)), (1, (top,))])
     t = (-0.01,)
-    assert np.isnan(_dominant_mean(w, t, CLIP_FLOOR))
+    assert np.isnan(_dominant_form(w.terms, t)[0])
     assert numeric_oracle._rank_one(w.terms) is None
     assert np.isnan(_closed_mean(w, t, CLIP_FLOOR))
     grid = grid_oracles.torus_grid(w, t, 64)
@@ -147,14 +148,17 @@ def test_a_binomial_of_high_degree_is_one_step():
     top = 4 * numeric_oracle._MAX_LINE_DEGREE
     far = PolyLog.of([(1, (0, top)), (2, (top, 0))])
     t = (-1.0, -1.0 - 1e-3)
-    assert float(_line_mean(far, t, CLIP_FLOOR)) == pytest.approx(math.log(2) - top, rel=1e-12, abs=0)
+    mean, low, high = _line_form(far.terms, t)
+    assert float(mean) == pytest.approx(math.log(2) - top, rel=1e-12, abs=0)
+    assert CLIP_FLOOR <= low <= mean <= high
 
 
 def test_the_floor_inside_the_values_keeps_the_grid():
     # e^-2 (1 + 3e z + e^2 z^2) at t = -1: the dominance test rejects it,
     # and Jensen's mean 0.96242365 - 2 sits on the floor once scaled
     w = PolyLog.of([(math.exp(-2), (0,)), (3 * math.exp(-1), (1,)), (1.0, (2,))])
-    mean = float(_line_mean(w, (-1.0,), CLIP_FLOOR))
+    assert np.isnan(_dominant_form(w.terms, (-1.0,))[0])
+    mean = float(_closed_mean(w, (-1.0,), CLIP_FLOOR))
     assert mean == pytest.approx(grid_oracles.line_mean_ref(w, (-1.0,), 2**16), abs=1e-12)
     scaled = Scale(CLIP_FLOOR / mean, w)
     assert np.isnan(_closed_mean(scaled, (-1.0,), CLIP_FLOOR))

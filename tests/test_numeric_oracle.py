@@ -102,6 +102,32 @@ def test_sphere_mean_rejects_more_variables_than_its_dimension():
         sphere_mean(THREE_VARIABLES, -1.0, 64, 2)
 
 
+def test_classical_estimate_rejects_more_variables_than_its_dimension():
+    with pytest.raises(ValueError, match="^weight references 3 coordinates but the sphere dimension is 2$"):
+        classical_lelong_numeric(THREE_VARIABLES, dim=2)
+
+
+def test_directional_estimate_rejects_more_variables_than_its_direction():
+    with pytest.raises(ValueError, match="^weight references 3 coordinates but the number of torus radii is 2$"):
+        directional_lelong_numeric(THREE_VARIABLES, (1, 1), dim=2)
+
+
+def test_indicator_profile_names_both_counts_per_entry():
+    (entry,) = indicator_profile(THREE_VARIABLES, [(1, 1)], dim=2)
+    assert entry.estimate is None
+    assert entry.error == "weight references 3 coordinates but the number of torus radii is 2"
+
+
+def test_swept_measure_rejects_more_variables_than_its_atoms():
+    with pytest.raises(ValueError, match="^weight references 3 coordinates but the number of torus radii is 2$"):
+        swept_measure_apply(es((1, 0), (0, 1)), THREE_VARIABLES, -5.0, 64)
+
+
+def test_generalized_estimate_rejects_more_variables_than_its_atoms():
+    with pytest.raises(ValueError, match="^weight references 3 coordinates but the number of torus radii is 2$"):
+        generalized_lelong_numeric(es((1, 0), (0, 1)), THREE_VARIABLES)
+
+
 def test_torus_mean_deterministic():
     w = PolyLog.of([(1, (2, 0)), (1j, (0, 3)), (-0.5, (1, 1))])
     a = torus_mean(w, (-2.0, -3.0), 256)

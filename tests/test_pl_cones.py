@@ -26,7 +26,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lelong.cli import _expr_record
-from lelong.demailly import _exact_norms, _pl_cones, _ray_forms, basis_norms
+from lelong.demailly import _exact_norms, _ray_forms, basis_norms
+from lelong.poly_geom import _pl_cones
 from lelong.weights import CoordLog, MaxOf, PolyLog, Scale
 
 GOLDEN = Path(__file__).parent / "golden" / "pl_bases.json"

@@ -42,7 +42,7 @@ def kinds(w, t) -> list[str]:
     """'dominant', 'line' or 'grid' for each row of t, as the one-point path decides."""
     out = []
     for row in zip(*t):
-        dominant = numeric_oracle._dominant_mean(w, row, CLIP_FLOOR)
+        dominant = grid_oracles.dominant_only(w, row)
         closed = numeric_oracle._closed_mean(w, row, CLIP_FLOOR)
         if closed is None or np.isnan(closed):
             out.append("grid")
