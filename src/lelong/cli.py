@@ -486,6 +486,8 @@ def _run_task(task: dict, p: ProblemFile, defaults: dict, readers: dict,
             args[slot] = p.objects[task[slot]]
         elif task.get(slot) is None and slot in defaults:
             args[slot] = defaults[slot]
+        elif slot not in task:
+            raise ProblemError(where, f"op {task['op']!r} needs a {slot!r} slot")
         else:
             args[slot] = readers[kind](task[slot], f"{where}.{slot}")
     fn = getattr(op.module, task["op"])

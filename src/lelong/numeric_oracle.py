@@ -7,11 +7,12 @@ weights, and measures the one-variable mass of a weight restricted to a
 coordinate hyperplane.  Every mean is taken by one row routine, `_rows`:
 a row is one torus, given by its log-radii, and each probe passes all
 rows of its schedule at once (directional: one per level; swept: levels
-x atoms; classical: levels x radial nodes; slice: one circle per level,
-whose closed forms are those of the restriction).  The rows take closed
-forms where they hold, in one pass per 64 rows, and the others share one
-chunked grid, `_grid_rows`.  MAX_GRID_POINTS bounds the nominal grid of
-each mean, not the batch.
+x atoms; classical: levels x radial nodes; slice: one circle per level
+of the one-variable `weights.restriction`).  The rows take closed forms
+where they hold, in one pass per 64 rows, and the others share one
+chunked grid, `_grid_rows`.  MAX_GRID_POINTS caps nodes**n of an
+angle-dependent weight, closed form or not, and then the grid rows of
+one mean (a sphere level) times nodes**n: one mean, not the batch.
 
 A torus mean of a bare or scaled `PolyLog` needs no grid where one of
 two closed forms holds.  Each is a function of the terms and log-radii
@@ -29,10 +30,10 @@ points still open, and accepts a point by one floor rule: mean >=
 floor and low >= floor (no node of its torus clips), or mean < floor
 and high < floor (every node clips).  The other points keep the grid.
 A sphere level is the mean of its radial rows, closed or not.  A slice
-level takes the same closed forms, with the same rule, on the
-restriction of a bare or scaled `PolyLog` to its hyperplane, a
-univariate polynomial.  The Richardson fit is a closed-form
-least-squares line with no LAPACK call.
+level is a torus mean of the restriction, so it takes the same closed
+forms where the restriction is a bare or scaled `PolyLog`, and one node
+where it does not depend on the angle.  The Richardson fit is a
+closed-form least-squares line with no LAPACK call.
 
 Determinism contract: fixed node grids and an exact sum, so identical
 inputs produce bitwise-identical outputs.  A grid is evaluated in chunks,
@@ -63,7 +64,7 @@ import numpy as np
 
 from .poly_geom import ExponentSet, _diagram, gamma_measure
 from .weights import (PolyLog, Scale, _log_rows, _peak_shift, _point_sums, depends_on_theta, dimension_of,
-                      torus_values)
+                      restriction, torus_values)
 
 __all__ = [
     "CLIP_FLOOR",
@@ -84,11 +85,9 @@ __all__ = [
 ]
 
 CLIP_FLOOR = -1.0e6
-_CLIP_REJECT_FRACTION = 0.01
 
 # Largest quadrature grid one mean may cover: 2^24 points.  This caps the
-# work of one mean; larger grids fail before any evaluation, also where a
-# closed form would leave part of the grid or all of it unbuilt.
+# work of one mean; larger grids fail before any angle array exists.
 MAX_GRID_POINTS = 2**24
 
 # Relative margin of the dominance test of `_dominant_form` (s < 2 less
@@ -261,8 +260,6 @@ def _chunks(shape: tuple[int, ...], budget: int):
 def _take(x, box: tuple[slice, ...]):
     """The part of x inside box; x is a scalar or an array of the grid's ndim."""
     a = np.asarray(x)
-    if a.ndim == 0:
-        return x
     return a[tuple(s if n > 1 else slice(None) for s, n in zip(box, a.shape))]
 
 
@@ -495,60 +492,40 @@ def _closed_mean(w, t, floor: float):
     return means
 
 
-def _restriction(w, angles: Sequence[int], n: int):
-    """w at t_k = -inf off the angle axes: a PolyLog over them in w's scale chain, or None."""
-    if isinstance(w, Scale):
-        child = _restriction(w.child, angles, n)
-        return None if child is None else Scale(w.factor, child)
-    if not isinstance(w, PolyLog) or len(w.terms[0][1]) > n:
-        return None
-    pad = (0,) * (n - len(w.terms[0][1]))
-    terms = tuple((c, tuple((J + pad)[k] for k in angles)) for c, J in w.terms
-                  if not any(j for k, j in enumerate(J) if k not in angles))
-    return PolyLog(terms) if terms else None
-
-
-def _rows(w, t, nodes: int, angles: Sequence[int] | None = None):
+def _rows(w, t, nodes: int, per_mean: int = 1):
     """Lists (means, clipped, parts) over the tori of R rows of log-radii.
 
-    t holds one array of R log-radii per axis; angles are the axes with
-    node angles (all by default, one for a slice), so a row has size =
-    nodes**len(angles) nodes; the other axes are at -inf.  One decision
-    per _BLOCK_ROWS rows takes the closed rows: one `torus_values` call
-    at one node per row for a theta-independent weight, else one
-    `_closed_mean` pass over the angle axes on the `_restriction` of w.
-    A closed mean is clipped at CLIP_FLOOR (all nodes or none) and its
-    parts are None.  The other rows share one `_grid_rows` grid of w;
-    each mean is the fsum of the row's parts over size.  The cap applies
-    to size wherever a grid may be built.
+    t holds one array of R log-radii per axis, each axis with angles, so
+    a row has size = nodes**len(t) nodes.  One decision per _BLOCK_ROWS
+    rows takes the closed rows: one `torus_values` call at one node per
+    row for a theta-independent weight, else one `_closed_mean` pass.  A
+    closed mean is clipped at CLIP_FLOOR (all nodes or none) and its
+    parts are None.  The other rows share one `_grid_rows` grid; each
+    mean is the fsum of the row's parts over size.  size is capped for a
+    theta-dependent weight before any row is decided, and the grid rows
+    of each run of per_mean rows (one mean) times size once they are.
     """
     n = len(t)
-    angles = range(n) if angles is None else angles
-    full = len(angles) == n
     t = [np.asarray(x, dtype=float) for x in t]
-    size = nodes ** len(angles)
-    closed_w = w if full else _restriction(w, angles, n)
-    constant = full and not depends_on_theta(w)
+    size = nodes**n
+    constant = not depends_on_theta(w)
     if not constant:
         _check_grid(size)
     means = np.full(t[0].shape, np.nan)
-    for i in range(0, means.size if closed_w is not None else 0, _BLOCK_ROWS):
-        block = [t[k][i:i + _BLOCK_ROWS] for k in angles]
-        closed = torus_values(w, block, (0.0,) * n) if constant else _closed_mean(closed_w, block, CLIP_FLOOR)
+    for i in range(0, means.size, _BLOCK_ROWS):
+        block = [x[i:i + _BLOCK_ROWS] for x in t]
+        closed = torus_values(w, block, (0.0,) * n) if constant else _closed_mean(w, block, CLIP_FLOOR)
         if closed is not None:
             means[i:i + _BLOCK_ROWS] = closed
     grid = np.zeros(means.shape, dtype=bool) if constant else np.isnan(means)
+    _check_grid(size * int(grid.reshape(-1, per_mean).sum(axis=1).max(initial=0)))
     clipped = [size if low else 0 for low in (means < CLIP_FLOOR).tolist()]
     means = np.maximum(means, CLIP_FLOOR)
     parts = [None] * means.size
     rows = np.flatnonzero(grid)
     if rows.size:
-        theta = [0.0] * n
-        for k, g in zip(angles, _theta_grids(len(angles), nodes)):
-            theta[k] = g
-        lead = (rows.size,) + (1,) * len(angles)
-        grid_parts, grid_clipped = _grid_rows(w, [x[rows].reshape(lead) for x in t], theta,
-                                              (rows.size,) + (nodes,) * len(angles), CLIP_FLOOR)
+        grid_parts, grid_clipped = _grid_rows(w, [x[rows].reshape((-1,) + (1,) * n) for x in t],
+                                              _theta_grids(n, nodes), (rows.size,) + (nodes,) * n, CLIP_FLOOR)
         for i, row, c in zip(rows.tolist(), grid_parts, grid_clipped.tolist()):
             parts[i], means[i], clipped[i] = row, math.fsum(row) / size, c
     return means.tolist(), clipped, parts
@@ -563,8 +540,8 @@ def torus_mean(w, t: Sequence[float], nodes: int) -> float:
     limit of the module docstring.  Otherwise values below CLIP_FLOOR
     (including -inf) are clipped at CLIP_FLOOR; the log-singularities
     this tames are integrable, so the bias is below the schedule
-    tolerances at 64+ nodes per angle.  The grid cap applies to the
-    nominal nodes**n grid either way.
+    tolerances at 64+ nodes per angle.  nodes**n is capped for a weight
+    that depends on the angles, closed form or not.
     """
     if not all(x < 0 for x in t):  # -inf restricts to a coordinate hyperplane; NaN fails too
         raise ValueError("torus radii must satisfy t_k < 0")
@@ -590,17 +567,21 @@ def _equal_area_log_profiles(n: int, radial_nodes: int) -> list[np.ndarray]:
     The squared moduli of a uniformly distributed point on the unit
     sphere of C^n are uniform on the simplex; midpoint grids in the
     simplex parameters give the product rule, one row per grid point.
+    The rows, radial_nodes^(n - 1), and radial_nodes are capped first.
     """
-    s = (np.arange(radial_nodes) + 0.5) / radial_nodes
+    if n not in (1, 2, 3):
+        raise ValueError("sphere means are implemented for dimensions 1..3 only")
+    if radial_nodes < 1:
+        raise ValueError(f"radial_nodes must be at least 1, got {radial_nodes}")
+    _check_grid(radial_nodes ** max(n - 1, 1))
     if n == 1:
         return [np.zeros(1)]
+    s = (np.arange(radial_nodes) + 0.5) / radial_nodes
     if n == 2:
         return [0.5 * np.log1p(-s), 0.5 * np.log(s)]
-    if n == 3:
-        su = np.sqrt(s)[:, None]
-        moduli = (1.0 - su + 0.0 * s[None, :], su * (1.0 - s)[None, :], su * s[None, :])
-        return [0.5 * np.log(b).ravel() for b in moduli]
-    raise ValueError("sphere means are implemented for dimensions 1..3 only")
+    su = np.sqrt(s)[:, None]
+    moduli = (1.0 - su + 0.0 * s[None, :], su * (1.0 - s)[None, :], su * s[None, :])
+    return [0.5 * np.log(b).ravel() for b in moduli]
 
 
 def _sphere_levels(w, levels, nodes: int, n: int, radial_nodes: int | None = None):
@@ -608,8 +589,8 @@ def _sphere_levels(w, levels, nodes: int, n: int, radial_nodes: int | None = Non
 
     One torus row per radial node of each level, all in one `_rows`
     call; a level's mean is one fsum over the parts of its rows.  A
-    theta-independent weight counts one node per radial row.  The cap
-    applies to the nominal grid of one level.
+    theta-independent weight counts one node per radial row.  `_rows`
+    caps the grid rows that each level builds.
     """
     _check_variables(w, n, "the sphere dimension")
     if radial_nodes is None:
@@ -617,9 +598,8 @@ def _sphere_levels(w, levels, nodes: int, n: int, radial_nodes: int | None = Non
     profiles = _equal_area_log_profiles(n, radial_nodes)
     nodes = nodes if depends_on_theta(w) else 1
     rows, size = profiles[0].size, nodes**n
-    _check_grid(rows * size)
     means, clipped, parts = _rows(w, [np.add.outer(np.asarray(levels, dtype=float), p).ravel()
-                                      for p in profiles], nodes)
+                                      for p in profiles], nodes, rows)
     stats = []
     for i in range(0, len(means), rows):
         level = range(i, i + rows)
@@ -635,12 +615,14 @@ def sphere_mean(w, r: float, nodes: int, dim: int, radial_nodes: int | None = No
 
     An equal-area product rule: one n-torus per radial node, each taking
     a closed form of `torus_mean` where one holds, and the others one
-    grid, with the cap on the nominal grid.
+    grid.  nodes is at least 64, and the grid is capped as in `_rows`.
     """
     if not math.isfinite(r):
         raise ValueError("radius exponent must be finite")
     if r >= 0:
         raise ValueError("radius exponent must be negative")
+    if nodes < 64:
+        raise ValueError("nodes must be at least 64")
     return _sphere_levels(w, (r,), nodes, dim, radial_nodes)[0][0]
 
 
@@ -672,7 +654,7 @@ def _sweep_levels(stats, sched: RadialSchedule, what: str) -> LimitEstimate:
         if clipped == total:
             raise NonPshStarProbeError(f"non-PSH_* probe: every node clipped at level r={r} during {what}")
         y = mean / r
-        rejected = clipped > _CLIP_REJECT_FRACTION * total
+        rejected = 100 * clipped > total  # more than 1% clipped, compared in integers
         per_level.append({"r": r, "mean": mean, "ratio": y, "clipped": clipped, "nodes": total,
                           "rejected": rejected})
         if not rejected:
@@ -810,12 +792,10 @@ def slice_lelong(w, axis: int, sched: RadialSchedule = DEFAULT_SCHEDULE, dim: in
     if axis not in (1, 2):
         raise ValueError("axis must be 1 or 2")
     _check_variables(w, dim, "the slice dimension")
-    other = 2 - axis  # 0-based index of the surviving variable
-    t = [np.full(len(sched.levels), -np.inf)] * 2
-    t[other] = np.array(sched.levels, dtype=float)
-    means, clipped, _ = _rows(w, t, sched.angular_nodes, angles=(other,))
-    if sched.angular_nodes in clipped:
+    w1 = restriction(w, axis, dim)
+    if w1 is None:
         raise SliceUndefinedError(f"slice undefined: restriction to z_{axis} = 0 is identically -inf")
+    means, clipped, _ = _rows(w1, [sched.levels], sched.angular_nodes)
     return _sweep_levels(zip(means, clipped, repeat(sched.angular_nodes)), sched,
                          f"slice probe on axis {axis}")
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Sequence, Union
 
@@ -44,6 +44,7 @@ __all__ = [
     "indicator_support",
     "is_multicircled",
     "is_psh_star",
+    "restriction",
 ]
 
 
@@ -356,23 +357,46 @@ def is_multicircled(w) -> bool:
     return not depends_on_theta(w)
 
 
-def is_psh_star(w, axis: int, dimension: int | None = None) -> bool:
-    """Whether the restriction of w to {z_axis = 0} is somewhere finite.
+def restriction(w, axis: int, dimension: int | None = None):
+    """w on {z_axis = 0} in the other variables, in order, or None where w is -inf there.
 
-    Exact on the node algebra: a polynomial keeps a term free of
-    z_axis, a coordinate log or power of one is finite off its own
-    axis, a max needs one such child and a scaling its child.
+    Its values are w's at t_axis = -inf (and theta_axis = 0 for an object outside the node algebra).
     """
+    return _restrict(w, axis, dimension, True)
+
+
+def is_psh_star(w, axis: int, dimension: int | None = None) -> bool:
+    """Whether w is somewhere finite on {z_axis = 0}: exact on the node algebra, a TypeError outside it."""
+    return _restrict(w, axis, dimension, False) is not None
+
+
+def _restrict(w, axis: int, dimension: int | None, opaque: bool):
+    """`restriction`, where an object outside the node algebra is a TypeError unless opaque."""
     n = dimension if dimension is not None else dimension_of(w)
     if not 1 <= axis <= n:
         raise ValueError(f"axis {axis} out of range 1..{n}")
     k = axis - 1
+    if opaque and hasattr(w, "torus_values"):
+        return _AtNegInf(w, k, depends_on_theta(w))
     if isinstance(w, PolyLog):
-        return any(k >= len(J) or J[k] == 0 for _, J in w.terms)
+        terms = tuple((c, J[:k] + J[k + 1:]) for c, J in w.terms if k >= len(J) or not J[k])
+        return PolyLog(terms) if terms else None
     if isinstance(w, (CoordLog, NegPowLog)):
-        return w.axis != axis
+        return None if w.axis == axis else replace(w, axis=w.axis - (w.axis > axis))
     if isinstance(w, MaxOf):
-        return any(is_psh_star(c, axis, n) for c in w.children)
+        kept = tuple(r for r in (_restrict(c, axis, n, opaque) for c in w.children) if r is not None)
+        return MaxOf(kept) if kept else None
     if isinstance(w, Scale):
-        return is_psh_star(w.child, axis, n)
+        child = _restrict(w.child, axis, n, opaque)
+        return None if child is None else Scale(w.factor, child)
     raise TypeError(f"not a weight expression: {type(w).__name__}")
+
+
+@dataclass(frozen=True)
+class _AtNegInf:  # an object outside the node algebra on {z_(k+1) = 0}
+    w: object
+    k: int
+    theta_dependent: bool
+
+    def torus_values(self, t, theta):
+        return self.w.torus_values([*t[:self.k], _NEG_INF, *t[self.k:]], [*theta[:self.k], 0.0, *theta[self.k:]])

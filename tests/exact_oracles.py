@@ -32,6 +32,8 @@ of `demailly._pl_cones` cut at sum(s) = -1 in `Fraction` points, as it
 was before the cut was scaled to integers.  `walk_pl_generators` and
 `walk_indicator_support` are the two walks from a weight tree to its
 generators that the library had before `weights._generators` served both.
+`walk_psh_star` is the walk that `weights.is_psh_star` made before it
+read whether `weights.restriction` is None.
 """
 
 import math
@@ -585,3 +587,25 @@ def walk_indicator_support(w, dimension: int | None = None) -> ExponentSet:
         raise TypeError(f"not a weight expression: {type(node).__name__}")
 
     return ExponentSet.of(gens(w), n)
+
+
+def walk_psh_star(w, axis: int, dimension: int | None = None) -> bool:
+    """Whether the restriction of w to {z_axis = 0} is somewhere finite.
+
+    Exact on the node algebra: a polynomial keeps a term free of
+    z_axis, a coordinate log or power of one is finite off its own
+    axis, a max needs one such child and a scaling its child.
+    """
+    n = dimension if dimension is not None else dimension_of(w)
+    if not 1 <= axis <= n:
+        raise ValueError(f"axis {axis} out of range 1..{n}")
+    k = axis - 1
+    if isinstance(w, PolyLog):
+        return any(k >= len(J) or J[k] == 0 for _, J in w.terms)
+    if isinstance(w, (CoordLog, NegPowLog)):
+        return w.axis != axis
+    if isinstance(w, MaxOf):
+        return any(walk_psh_star(c, axis, n) for c in w.children)
+    if isinstance(w, Scale):
+        return walk_psh_star(w.child, axis, n)
+    raise TypeError(f"not a weight expression: {type(w).__name__}")

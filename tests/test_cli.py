@@ -282,15 +282,19 @@ def test_main_run_roundtrip(tmp_path, capsys):
     assert data["tasks"][0]["result"]["value"] == "6"
 
 
-def test_main_run_oversized_grid_is_a_task_error(tmp_path, capsys):
+CUSP3 = {"node": "poly_log", "terms": [
+    {"coeff": [1, 0], "exponent": [2, 0, 0]},
+    {"coeff": [1, 0], "exponent": [0, 3, 0]},
+    {"coeff": [1, 0], "exponent": [0, 0, 5]},
+]}
+
+
+def _run_3d_classical(expr: dict, tmp_path, capsys) -> tuple[dict, dict]:
+    """The default-flag `lelong run` records of a 3-D classical estimate of expr and a task after it."""
     prob = {
         "dimension": 3,
         "objects": {
-            "w": {"kind": "expr", "expr": {"node": "poly_log", "terms": [
-                {"coeff": [1, 0], "exponent": [2, 0, 0]},
-                {"coeff": [1, 0], "exponent": [0, 3, 0]},
-                {"coeff": [1, 0], "exponent": [0, 0, 5]},
-            ]}},
+            "w": {"kind": "expr", "expr": expr},
             "phi": {"kind": "monomial_weight", "exponents": [[2, 0, 0], [0, 3, 0], [0, 0, 5]]},
         },
         "tasks": [
@@ -302,10 +306,27 @@ def test_main_run_oversized_grid_is_a_task_error(tmp_path, capsys):
     path.write_text(json.dumps(prob))
     main(["run", str(path), "--format", "json"])
     first, second = json.loads(capsys.readouterr().out)["tasks"]
-    assert first["status"] == "error"
-    assert "exceeds the limit" in first["error"]
     assert second["status"] == "ok"
     assert second["result"]["value"] == "30"
+    return first, second
+
+
+def test_main_run_oversized_grid_is_a_task_error(tmp_path, capsys):
+    # max(z1^2 + z2^3 + z3^5, log|z1|): every sphere row reaches the grid,
+    # 256 rows of 256^3 points per level
+    start = time.monotonic()
+    first, _ = _run_3d_classical({"node": "max", "children": [CUSP3, {"node": "coord_log", "axis": 1}]},
+                                 tmp_path, capsys)
+    assert time.monotonic() - start < 1.0
+    assert first["status"] == "error"
+    assert "exceeds the limit" in first["error"]
+
+
+def test_main_run_closed_3d_sphere_rows_are_ok(tmp_path, capsys):
+    # every sphere row of the polynomial takes a closed form, so no grid is built
+    first, _ = _run_3d_classical(CUSP3, tmp_path, capsys)
+    assert first["status"] == "ok"
+    assert first["result"]["value"] == pytest.approx(2.0, abs=1e-9)
 
 
 def test_main_run_direction_of_the_wrong_length_is_a_task_error(tmp_path, capsys):
@@ -601,7 +622,7 @@ def test_parse_rejects_non_string_names():
 
 
 # ---------------------------------------------------------------------------
-# strict integer and float slots
+# strict integer and float slots, and missing ones
 
 
 def _run_one(task: dict, objects: dict | None = None) -> dict:
@@ -725,6 +746,45 @@ def test_float_slots_reject_non_finite_values(task, where, got):
     rec = _run_one(task)
     assert rec["status"] == "error"
     assert rec["error"] == f"ProblemError: tasks[0].{where}: expected a finite number, got {got}"
+
+
+# the slots with a default, and a value of each kind for the others
+_DEFAULTED = {"schedule", "nodes", "tolerance", "degree_cap"}
+_SAMPLES = {"exponent": "tri", "evaluable": "cusp", "rationals": ["-1/4", "-3/4"], "floats": [1, 1],
+            "float_rows": [[1, 1]], "float": -5, "int": 1, "ints": [1]}
+
+
+def test_a_missing_required_slot_is_a_task_error_that_names_it():
+    from lelong.cli import _OPS, _REFERENCES
+
+    dropped = []
+    for op, spec in _OPS.items():
+        full = {"op": op, **{slot: _SAMPLES[kind] for slot, kind in spec.slots.items() if slot not in _DEFAULTED}}
+        for slot, kind in spec.slots.items():
+            if kind in _REFERENCES or slot in _DEFAULTED:
+                continue
+            rec = _run_one({k: v for k, v in full.items() if k != slot})
+            assert rec["status"] == "error"
+            assert rec["error"] == f"ProblemError: tasks[0]: op {op!r} needs a {slot!r} slot"
+            dropped.append(slot)
+    assert len(dropped) == 10
+
+
+def test_node_counts_beyond_the_float_range_give_values():
+    # a coord_log weight takes no grid, so 10^400 nodes per angle is only a count
+    # (the clipped share used to be compared in floats: OverflowError)
+    sched = {"nodes": 10**400}
+    for task in ({"op": "directional_lelong_numeric", "w": "log1", "a": [1, 1], "schedule": sched},
+                 {"op": "classical_lelong_numeric", "w": "log1", "schedule": sched},
+                 {"op": "generalized_lelong_numeric", "phi": "axes", "w": "log1", "schedule": sched},
+                 {"op": "slice_lelong", "w": "flat", "k": 1, "schedule": sched}):
+        rec = _run_one(task, {"log1": {"kind": "expr", "expr": {"node": "coord_log", "axis": 1}}})
+        assert rec["status"] == "ok", rec
+        assert rec["result"]["value"] == pytest.approx(1.0, rel=1e-9)
+        assert rec["result"]["angular_nodes"] == 10**400
+    profile = _run_one({"op": "indicator_profile", "w": "log1", "directions": [[1, 1]], "schedule": sched},
+                       {"log1": {"kind": "expr", "expr": {"node": "coord_log", "axis": 1}}})
+    assert profile["result"]["profile"][0]["value"] == pytest.approx(1.0, rel=1e-9)
 
 
 def test_ops_that_take_the_dimension_get_the_problem_dimension():

@@ -158,7 +158,7 @@ CHUNK_CASES = {
     "sphere 2-D": (lambda: [sphere_mean(W2, -3.0, 64, 2)], (64, 64, 64)),
     "sphere tree": (lambda: [sphere_mean(TREE, -30.0, 64, 2)], (64, 64, 64)),
     "sphere moduli only": (lambda: [sphere_mean(Scale(F(3), CoordLog(2)), -3.0, 64, 2)], (64, 1, 1)),
-    "sphere 3-D": (lambda: [sphere_mean(W3, -2.0, 16, 3, radial_nodes=4)], (4, 4, 16, 16, 16)),
+    "sphere 3-D": (lambda: [numeric_oracle._sphere_levels(W3, (-2.0,), 16, 3, 4)[0][0]], (4, 4, 16, 16, 16)),
     # every level of a max-tree slice is a row of one grid
     "slice": (lambda: [lv["mean"] for lv in slice_lelong(SLICE_TREE, 1, SCHED).diagnostics["levels"]],
               (64,)),

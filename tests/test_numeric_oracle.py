@@ -298,13 +298,47 @@ def test_sphere_mean_rejects_non_finite_radii():
             sphere_mean(w, r, 64, 2)
 
 
+# z1^2 + z2^3 + z3^5, whose sphere rows all take a closed form, and its
+# max with log|z1|, whose sphere rows all reach the grid
+CUSP3 = PolyLog.of([(1, (2, 0, 0)), (1, (0, 3, 0)), (1, (0, 0, 5))])
+CUSP3_TREE = MaxOf.of(CUSP3, CoordLog(1))
+
+
 def test_oversized_sphere_grid_fails_before_allocating():
-    # 16^2 * 256^3 points: a 64 GiB complex128 array without the limit;
-    # test_classical_dimension_three builds 8^2 * 64^3, exactly the limit
-    w = PolyLog.of([(1, (2, 0, 0)), (1, (0, 3, 0)), (1, (0, 0, 5))])
+    # 16^2 grid rows of 256^3 points per level: a 64 GiB complex128 array
+    # without the limit; test_classical_dimension_three builds 8^2 * 64^3,
+    # exactly the limit
     start = time.monotonic()
     with pytest.raises(ValueError, match="exceeds the limit"):
-        classical_lelong_numeric(w, dim=3)
+        classical_lelong_numeric(CUSP3_TREE, dim=3)
+    assert time.monotonic() - start < 1.0
+
+
+def test_closed_sphere_rows_build_no_grid():
+    # the cap counts the grid rows a level builds: 256^3 nodes per torus is
+    # within it, and every row of the polynomial takes a closed form
+    est = classical_lelong_numeric(CUSP3, dim=3)
+    assert est.value == pytest.approx(2.0, abs=1e-9)
+
+
+def test_sphere_mean_rejects_fewer_than_64_nodes():
+    for nodes in (-1, 1, 63):
+        with pytest.raises(ValueError, match="^nodes must be at least 64$"):
+            sphere_mean(CoordLog(1), -1.0, nodes, 2)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_radial_nodes_are_bounded_before_the_profiles_exist(dim):
+    for radial in (0, -3):
+        with pytest.raises(ValueError, match=f"^radial_nodes must be at least 1, got {radial}$"):
+            sphere_mean(CoordLog(1), -1.0, 64, dim, radial_nodes=radial)
+    # 2^40 radial nodes would be 8 TiB of profile values
+    start = time.monotonic()
+    for w in (CoordLog(1), PolyLog.of([(1, (0,) * dim), (1, (1,) + (0,) * (dim - 1))])):
+        with pytest.raises(ValueError, match="exceeds the limit"):
+            sphere_mean(w, -1.0, 64, dim, radial_nodes=2**40)
+        with pytest.raises(ValueError, match="exceeds the limit"):
+            classical_lelong_numeric(w, FAST, dim=dim, radial_nodes=2**40)
     assert time.monotonic() - start < 1.0
 
 
@@ -312,8 +346,10 @@ def test_oversized_torus_and_slice_grids_fail():
     w = PolyLog.of([(1, (1, 0, 0, 0)), (1, (0, 1, 1, 1))])
     with pytest.raises(ValueError, match="exceeds the limit"):
         torus_mean(w, (-1.0,) * 4, 128)
+    # on {z1 = 0}: z2 - z2^2, which depends on the angle
+    angled = PolyLog.of([(1, (1, 0)), (1, (0, 1)), (-1, (0, 2))])
     with pytest.raises(ValueError, match="exceeds the limit"):
-        slice_lelong(flat_weight(), 1, RadialSchedule(angular_nodes=2**24 + 1))
+        slice_lelong(angled, 1, RadialSchedule(angular_nodes=2**24 + 1))
     # the cap is checked before the angle arrays exist: 2^40 nodes per
     # angle would be 8 TiB each
     huge = RadialSchedule(angular_nodes=2**40)
@@ -322,7 +358,7 @@ def test_oversized_torus_and_slice_grids_fail():
     h3 = PolyLog.of([(1.6 - 0.7j, (5, 0)), (-1.4 + 0.5j, (0, 5)), (-0.2 + 1.3j, (1, 4))])
     for probe in (lambda: torus_mean(w2, (-1.0, -1.0), 2**40),
                   lambda: classical_lelong_numeric(w2, huge, dim=2),
-                  lambda: slice_lelong(w2, 1, huge),
+                  lambda: slice_lelong(angled, 1, huge),
                   lambda: torus_mean(h3, (-1.0, -1.0), 2**40),
                   lambda: classical_lelong_numeric(h3, huge, dim=2)):
         with pytest.raises(ValueError, match="exceeds the limit"):
@@ -527,6 +563,27 @@ def test_slice_with_theta_dependence():
 def test_slice_undefined():
     with pytest.raises(SliceUndefinedError, match="slice undefined"):
         slice_lelong(PolyLog.of([(1, (1, 1))]), 1, FAST)
+
+
+def test_a_finite_slice_that_clips_everywhere_is_a_non_psh_star_probe():
+    # on {z1 = 0}: 10^6 log|z2|, finite but below the floor on every circle
+    w = Scale(F(10**6), PolyLog.of([(1, (0, 1)), (1, (1, 1))]))
+    with pytest.raises(NonPshStarProbeError, match="^non-PSH_\\* probe: every node clipped at level r=-5.0 "
+                                                   "during slice probe on axis 1$"):
+        slice_lelong(w, 1, FAST)
+
+
+def test_slice_of_an_object_outside_the_node_algebra():
+    # evaluated at t_1 = -inf: log|z2| + 1 where z1 = 0, else -inf everywhere
+    class Custom:
+        dimension = 2
+
+        def torus_values(self, t, theta):
+            return np.where(np.asarray(t[0]) == -np.inf, np.asarray(t[1]) + 1.0, -np.inf)
+
+    assert slice_lelong(Custom(), 1, FAST).value == pytest.approx(1.0, rel=1e-9)
+    with pytest.raises(NonPshStarProbeError, match="every node clipped"):
+        slice_lelong(Custom(), 2, FAST)
 
 
 def test_slice_rejects_bad_dimension():

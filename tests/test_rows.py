@@ -21,7 +21,7 @@ from lelong.demailly import basis_norms
 from lelong.numeric_oracle import (CLIP_FLOOR, RadialSchedule, classical_lelong_numeric,
                                    directional_lelong_numeric, generalized_lelong_numeric, slice_lelong)
 from lelong.poly_geom import ExponentSet, gamma_measure
-from lelong.weights import CoordLog, MaxOf, NegPowLog, PolyLog, Scale
+from lelong.weights import CoordLog, MaxOf, NegPowLog, PolyLog, Scale, restriction
 
 LEVELS = (-0.25, -0.5, -1.0, -2.0, -4.0, -8.0)
 W2 = PolyLog.of([(1, (2, 0)), (1j, (0, 3)), (-0.5, (1, 1))])
@@ -173,6 +173,21 @@ def test_slice_levels_match_the_one_level_path():
     assert {"dominant", "line"} <= set(seen)
 
 
+@pytest.mark.parametrize("m", [1, 2])
+def test_approx_basis_slices_keep_the_grid_bits(monkeypatch, m):
+    # a basis lies outside the node algebra: its restriction is the basis at
+    # t_axis = -inf, a function of the moduli that takes one node per level
+    # and gives the bits of the grid of the one-level path
+    basis = basis_norms(MaxOf.of(Scale(F(2), CoordLog(1)), Scale(F(3, 2), CoordLog(2))), m, dim=2)
+    sched = RadialSchedule.geometric(-30.0, 4, 256)
+    grids = grid_shapes(monkeypatch)
+    for axis in (1, 2):
+        for lv in slice_lelong(basis, axis, sched).diagnostics["levels"]:
+            want = grid_oracles.slice_stats(basis, axis, lv["r"], 256)
+            assert same((lv["mean"], lv["clipped"], lv["nodes"]), want)
+    assert grids == []
+
+
 def test_one_closed_pass_and_one_grid_per_sweep(monkeypatch):
     # a sweep of four levels, with closed and grid rows, makes one pass of
     # each kind; a per-level loop would make four
@@ -252,7 +267,7 @@ ROOT_W = PolyLog.of([(1, (0, 1)), (math.exp(2.0), (0, 2)), (3, (1, 1))])
     (Scale(F(500000), ROOT_W), (-0.5, -1.0, -1.9999), ["line", "line", "grid"]),
 ], ids=["root on the circle", "floor through the circle"])
 def test_only_the_levels_without_a_closed_form_take_the_grid(monkeypatch, w, levels, kind):
-    w1 = numeric_oracle._restriction(w, (1,), 2)
+    w1 = restriction(w, 1, 2)
     assert kinds(w1, [list(levels)]) == kind
     grids = grid_shapes(monkeypatch)
     sched = RadialSchedule(levels=levels, angular_nodes=64)
@@ -269,7 +284,7 @@ def test_only_the_levels_without_a_closed_form_take_the_grid(monkeypatch, w, lev
 def test_an_empty_restriction_is_undefined():
     # no term is free of z1, so the restriction to z1 = 0 is identically -inf
     w = PolyLog.of([(1, (1, 0)), (2, (1, 3)), (-1j, (2, 1))])
-    assert numeric_oracle._restriction(w, (1,), 2) is None
+    assert restriction(w, 1, 2) is None
     for v in (w, Scale(F(3, 2), w)):
         with pytest.raises(numeric_oracle.SliceUndefinedError) as info:
             slice_lelong(v, 1, RadialSchedule(levels=LEVELS[1:], angular_nodes=64))
@@ -277,12 +292,17 @@ def test_an_empty_restriction_is_undefined():
 
 
 def test_a_max_tree_slice_keeps_one_grid(monkeypatch):
+    # on either axis this tree restricts to a max of moduli, i z^3 and 3/2
+    # log|z| or z^2, which takes one node per level and no grid; the
+    # second restricts to max(z^2 + 2 z^5, 3/2 log|z|) on {z1 = 0}, whose
+    # levels are the rows of one grid
     tree = MaxOf.of(W2, Scale(F(3, 2), CoordLog(2)))
+    angled = MaxOf.of(PolyLog.of([(1, (0, 2)), (-0.25, (1, 1)), (2, (0, 5))]), Scale(F(3, 2), CoordLog(2)))
     grids = grid_shapes(monkeypatch)
     sched = RadialSchedule(levels=LEVELS[1:], angular_nodes=64)
-    for axis in (1, 2):
+    for w, axis, want_grids in [(tree, 1, []), (tree, 2, []), (angled, 1, [(len(sched.levels), 64)])]:
         grids.clear()
-        for lv in slice_lelong(tree, axis, sched).diagnostics["levels"]:
-            want = grid_oracles.slice_stats(tree, axis, lv["r"], 64)
+        for lv in slice_lelong(w, axis, sched).diagnostics["levels"]:
+            want = grid_oracles.slice_stats(w, axis, lv["r"], 64)
             assert same((lv["mean"], lv["clipped"], lv["nodes"]), want)
-        assert grids == [(len(sched.levels), 64)]
+        assert grids == want_grids

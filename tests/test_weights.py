@@ -5,6 +5,8 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
+import exact_oracles
+
 from lelong.poly_geom import ExponentSet
 from lelong.weights import (
     CoordLog,
@@ -18,6 +20,7 @@ from lelong.weights import (
     indicator_support,
     is_multicircled,
     is_psh_star,
+    restriction,
     scaling_transform,
     torus_values,
 )
@@ -227,6 +230,64 @@ def test_psh_star_matches_probe_on_random_trees():
             assert got == psh_star_probe(w, axis, n), (w, axis)
             seen.add(got)
     assert seen == {True, False}
+
+
+def _same_bits(a, b) -> bool:
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_restriction_is_the_weight_at_minus_infinity(n):
+    # the walk that is_psh_star made decides whether the restriction is
+    # None, and the restriction's values, in the other variables in order,
+    # are the weight's at t_axis = -inf, bit for bit
+    rng = random.Random(20 + n)
+    seen = set()
+    for _ in range(300):
+        w = _random_tree(rng, n)
+        # 16 points in the other n - 1 variables
+        t = [-np.array([rng.uniform(0.05, 6.0) for _ in range(16)]) for _ in range(n - 1)]
+        theta = [np.array([rng.uniform(0.0, 2 * math.pi) for _ in range(16)]) for _ in range(n - 1)]
+        for axis in range(1, n + 1):
+            k = axis - 1
+            w1 = restriction(w, axis, n)
+            assert (w1 is not None) == exact_oracles.walk_psh_star(w, axis, n) == is_psh_star(w, axis, n)
+            full = torus_values(w, [*t[:k], -np.inf, *t[k:]], [*theta[:k], 0.0, *theta[k:]])
+            if w1 is None:
+                assert (np.asarray(full) == -np.inf).all(), (w, axis)
+            else:
+                assert _same_bits(torus_values(w1, t, theta), full), (w, axis)
+            seen.add(w1 is None)
+    assert seen == {True, False}
+
+
+def test_restriction_of_each_node_kind():
+    assert restriction(PolyLog.of([(1, (1, 0, 2)), (2j, (0, 3, 1))]), 1, 3) == PolyLog.of([(2j, (3, 1))])
+    assert restriction(PolyLog.of([(1, (1, 0))]), 3, 3) == PolyLog.of([(1, (1, 0))])
+    assert restriction(PolyLog.of([(1, (1, 1))]), 2) is None
+    assert restriction(CoordLog(3), 2, 3) == CoordLog(2)
+    assert restriction(CoordLog(1), 2, 3) == CoordLog(1)
+    assert restriction(NegPowLog(2, F(1, 2)), 2, 3) is None
+    assert restriction(NegPowLog(3, F(1, 2)), 1, 3) == NegPowLog(2, F(1, 2))
+    assert restriction(flat_weight(), 1, 2) == MaxOf.of(CoordLog(1))
+    assert restriction(Scale(F(3), flat_weight()), 2, 2) == Scale(F(3), MaxOf.of(NegPowLog(1, F(1, 2))))
+    assert restriction(MaxOf.of(CoordLog(1), NegPowLog(1, F(1, 3))), 1, 2) is None
+
+    class Custom:
+        theta_dependent = False
+
+        def torus_values(self, t, theta):
+            return np.asarray(t[0]) + 2.0 * np.asarray(t[1])
+
+    # an object outside the node algebra is evaluated at t_axis = -inf
+    w1 = restriction(Custom(), 1, 2)
+    assert not depends_on_theta(w1)
+    assert torus_values(w1, [-1.0], [0.0]) == -np.inf
+    assert torus_values(restriction(Custom(), 2, 2), [-1.0], [0.0]) == -np.inf
+    assert torus_values(MaxOf.of(restriction(Custom(), 1, 2), CoordLog(1)), [-1.5], [0.0]) == -1.5
+    with pytest.raises(ValueError, match="out of range"):
+        restriction(CoordLog(1), 0, 2)
 
 
 def test_psh_star_rejects_bad_input():
